@@ -1,8 +1,8 @@
 """Numerical solver library for linear-quadratic mean field games."""
 
-from .coeffs import (ConfigError, EffectiveS, MatrixPath, ProblemSpec,
-                     Schedule, ValidationReport, build_grid, effective_S,
-                     load_config, parse_config, sample, uniform_grid, validate)
+from .coeffs import (ConfigError, ProblemSpec, Schedule, SystemBlocks,
+                     ValidationReport, build_grid, load_config, parse_config,
+                     sample, system_blocks, uniform_grid, validate)
 from .conditions import (AppendixParams, ConditionReport, Verdict,
                          appendix_adjoint_route, appendix_feedback_condition,
                          appendix_feedback_riccati, appendix_report,

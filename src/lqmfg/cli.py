@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import conditions, fbsolver, mftype, riccati, simulator
-from .coeffs import (ConfigError, ProblemSpec, Schedule, build_grid,
-                     load_config, validate, _parse_matrix)
+from .coeffs import (ConfigError, ProblemSpec, build_grid, load_config,
+                     system_blocks, validate, _parse_matrix)
 from .conditions import AppendixParams
 from .fbsolver import NoConvergence, SingularShootingMatrix
 from .riccati import BoundaryOperatorSingular
@@ -149,13 +149,12 @@ def _cmd_riccati(args, out: Path) -> int:
         print(f"riccati: direct integration blew up at grid index "
               f"{direct.blow_up} (t={grid[direct.blow_up]:g})")
     if spec.n == 1 and all(s.is_constant for s in spec.schedules().values()):
-        seff = float(spec.Qbar.at(0)[0, 0] * (1 - spec.S.at(0)[0, 0]))
+        blocks = system_blocks(spec)
         closed = riccati.solve_1d_closed_form(
             a=float(spec.A.at(0)[0, 0]), abar=float(spec.Abar.at(0)[0, 0]),
             b=float(spec.B.at(0)[0, 0]), r=float(spec.R.at(0)[0, 0]),
-            q_plus_s=float(spec.Q.at(0)[0, 0]) + seff,
-            qT_plus_sT=float((spec.QT + spec.terminal_effective_S)[0, 0]),
-            T=spec.T, grid=grid)
+            q_plus_s=float(blocks.QS.at(0)[0, 0]),
+            qT_plus_sT=float(blocks.GT[0, 0]), T=spec.T, grid=grid)
         _write(out, "riccati_closed_form.csv", riccati.riccati_csv(closed))
     radon = riccati.solve_nonsymmetric_radon(spec, grid)
     _write(out, "riccati_radon.csv", riccati.riccati_csv(radon))
@@ -178,16 +177,11 @@ def _cmd_check(args, out: Path) -> int:
         main.verdicts[name] = verdict
 
     # shifted variant with the canonical positive weight Qcal = Q + Seff
-    eye = np.eye(spec.n)
-    breaks = sorted({0.0, *spec.Q.breakpoints, *spec.Qbar.breakpoints,
-                     *spec.S.breakpoints})
-    Qcal = Schedule.piecewise(
-        [(t, spec.Q.at(t) + spec.Qbar.at(t) @ (eye - spec.S.at(t)))
-         for t in breaks])
+    blocks = system_blocks(spec)
     shifted_lhs = None
     try:
-        shifted = conditions.check_shifted(
-            spec, Qcal, grid, QcalT=spec.QT + spec.terminal_effective_S)
+        shifted = conditions.check_shifted(spec, blocks.QS, grid,
+                                           QcalT=blocks.GT)
         shifted_lhs = shifted.mainthm_lhs
         main.verdicts["shifted_positive_weight"] = shifted.verdicts["shifted"]
     except ValueError as exc:

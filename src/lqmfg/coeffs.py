@@ -5,6 +5,11 @@ weights, horizon, initial mean), validates definiteness and dimension
 invariants, and evaluates time-varying coefficients on uniform grids.
 Coefficients are constant or piecewise-constant in time, evaluated
 right-continuously.
+
+`system_blocks` is the one place the coefficient blocks shared by every
+system of the package are defined: B R^-1 B*, R^-1 B*, Seff = Qbar (I - S),
+Q + Seff and the terminal weight QT + QbarT (I - ST).  The CSV writer all
+modules use lives here as well.
 """
 
 from __future__ import annotations
@@ -90,41 +95,19 @@ class Schedule:
 
     def at(self, t: float) -> np.ndarray:
         """Right-continuous evaluation: the piece whose start is <= t."""
-        return self.values[self.piece_index(t)][1]
-
-    def piece_index(self, t: float) -> int:
-        return max(bisect_right(self._starts, t) - 1, 0)
+        return self.values[max(bisect_right(self._starts, t) - 1, 0)][1]
 
     def map(self, fn) -> "Schedule":
         """New schedule with fn applied to every piece matrix."""
         return Schedule(tuple((t, fn(M)) for t, M in self.values))
 
-
-@dataclass(frozen=True)
-class MatrixPath:
-    """Matrix (or vector) values sampled on a uniform time grid."""
-
-    grid: np.ndarray
-    samples: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-D with at least two points")
-        if samples.shape[0] != grid.size:
-            raise ValueError(
-                f"{samples.shape[0]} samples for {grid.size} grid points")
-        check_uniform_grid(grid)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", samples)
-
-    def at(self, t: float) -> np.ndarray:
-        """Right-continuous step lookup at time t."""
-        h = self.grid[1] - self.grid[0]
-        k = int(np.floor((t - self.grid[0]) / h + 1e-12))
-        k = min(max(k, 0), self.grid.size - 1)
-        return self.samples[k]
+    @classmethod
+    def combine(cls, fn, *schedules: "Schedule") -> "Schedule":
+        """Schedule of fn(*pieces) on the merged breakpoints of schedules,
+        where pieces are the schedules' matrices in force on each interval."""
+        starts = sorted({0.0, *(b for s in schedules for b in s.breakpoints)})
+        return cls(tuple((t, fn(*(s.at(t) for s in schedules)))
+                         for t in starts))
 
 
 def check_uniform_grid(grid: np.ndarray) -> float:
@@ -311,24 +294,51 @@ def validate(spec: ProblemSpec, grid: np.ndarray | None = None) -> ValidationRep
 
 
 @dataclass(frozen=True)
-class EffectiveS:
-    """The effective deviation weight Qbar_t (I - S_t) and its terminal value."""
+class SystemBlocks:
+    """Coefficient blocks of the equilibrium system and its relatives.
 
-    path: MatrixPath
-    terminal: np.ndarray
+    BRB = B R^-1 B*, RinvBt = R^-1 B*, Seff = Qbar (I - S) and
+    QS = Q + Seff are piecewise-constant schedules; GT = QT + QbarT (I - ST)
+    is the terminal weight.
+    """
+
+    BRB: Schedule
+    RinvBt: Schedule
+    Seff: Schedule
+    QS: Schedule
+    GT: np.ndarray
 
 
-def effective_S(spec: ProblemSpec, grid: np.ndarray) -> EffectiveS:
-    """Sample Qbar_t (I - S_t) on the grid, plus QbarT (I - ST)."""
+def system_blocks(spec: ProblemSpec) -> SystemBlocks:
+    """Build every block once, inverting R once per piece."""
     eye = np.eye(spec.n)
-    vals = np.stack([spec.Qbar.at(t) @ (eye - spec.S.at(t)) for t in grid])
-    return EffectiveS(MatrixPath(grid, vals), spec.terminal_effective_S)
+    Rinv = spec.R.map(np.linalg.inv)
+    Seff = Schedule.combine(lambda Qbar, S: Qbar @ (eye - S),
+                            spec.Qbar, spec.S)
+    return SystemBlocks(
+        BRB=Schedule.combine(lambda B, Ri: B @ Ri @ B.T, spec.B, Rinv),
+        RinvBt=Schedule.combine(lambda B, Ri: Ri @ B.T, spec.B, Rinv),
+        Seff=Seff,
+        QS=Schedule.combine(np.add, spec.Q, Seff),
+        GT=spec.QT + spec.terminal_effective_S)
 
 
-def sample(schedule: Schedule, grid: np.ndarray) -> MatrixPath:
-    """Right-continuous piecewise-constant evaluation at each grid point."""
-    return MatrixPath(np.asarray(grid, float),
-                      np.stack([schedule.at(t) for t in grid]))
+def sample(schedule: Schedule, grid: np.ndarray) -> np.ndarray:
+    """Right-continuous evaluation at each grid point, stacked on axis 0."""
+    return np.stack([schedule.at(t) for t in grid])
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def csv_text(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row.  Strings are
+    written as given, numbers as repr(float(x)) so that values round-trip."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,14 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.interpolate import CubicSpline
 
-from .coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
+from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
+                     system_blocks, uniform_grid)
 from .odecore import (StageSampled, inv_sqrt, psd_sqrt, rk4_integrate,
                       rk4_integrate_backward, spectral_norm, spectral_norms,
                       stage_points)
 
 BORDERLINE_TOL = 1e-9
+PHI_BLOCK = 64  # times per batch of products normed in _phi_weighted_norm
 
 
 @dataclass
@@ -78,20 +80,16 @@ def compute_L(spec: ProblemSpec, grid: np.ndarray | None = None,
     if grid is None:
         grid = build_grid(spec, steps)
     T = spec.T
-    eye = np.eye(spec.n)
+    blocks = system_blocks(spec)
 
-    def brb(t):
-        B = spec.B.at(t)
-        return B @ np.linalg.inv(spec.R.at(t)) @ B.T
+    def sup(sched: Schedule) -> float:
+        return max(spectral_norm(M) for M in sample(sched, grid))
 
-    def qs(t):
-        return spec.Q.at(t) + spec.Qbar.at(t) @ (eye - spec.S.at(t))
-
-    brb_sup = max(spectral_norm(brb(t)) for t in grid)
-    qs_sup = max(spectral_norm(qs(t)) for t in grid)
-    a_abar_sup = max(spectral_norm(spec.A.at(t) + spec.Abar.at(t)) for t in grid)
-    astar_sup = max(spectral_norm(spec.A.at(t)) for t in grid)
-    gterm = spectral_norm(spec.QT + spec.terminal_effective_S)
+    brb_sup = sup(blocks.BRB)
+    qs_sup = sup(blocks.QS)
+    a_abar_sup = sup(Schedule.combine(np.add, spec.A, spec.Abar))
+    astar_sup = sup(spec.A)
+    gterm = spectral_norm(blocks.GT)
     return float(T * (gterm ** 2 + qs_sup) * brb_sup
                  * np.exp((2 * a_abar_sup + 2 * astar_sup + brb_sup + qs_sup) * T))
 
@@ -102,16 +100,8 @@ class _NormsUndefined(Exception):
         super().__init__(reason)
 
 
-def _piece_map(sched: Schedule, grid: np.ndarray, transform):
-    """transform applied once per schedule piece, then indexed per grid point."""
-    mapped = [transform(M) for _, M in sched.values]
-    idx = [sched.piece_index(t) for t in grid]
-    return np.stack([mapped[i] for i in idx])
-
-
 def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
-                       sqrtQ_terminal: np.ndarray, grid: np.ndarray,
-                       block: int = 64) -> float:
+                       sqrtQ_terminal: np.ndarray, grid: np.ndarray) -> float:
     """|||phi||| = sup_t sqrt(||phi*(T,t) QT^1/2||^2
                               + int_t^T ||phi*(s,t) Qs^1/2||^2 ds).
 
@@ -128,8 +118,8 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
     X = np.linalg.inv(Phi).transpose(0, 2, 1)          # phi(t,0)^-T
     K = grid.size
     best = 0.0
-    for lo in range(0, K, block):
-        hi = min(lo + block, K)
+    for lo in range(0, K, PHI_BLOCK):
+        hi = min(lo + PHI_BLOCK, K)
         prod = np.einsum("tij,sjk->tsik", X[lo:hi], G)
         norms2 = spectral_norms(prod) ** 2              # (hi-lo, K)
         term2 = spectral_norms(np.einsum("tij,jk->tik",
@@ -151,7 +141,7 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
     s_term_zero = np.all(S_terminal == 0)
 
     try:
-        sqrtQ = _piece_map(Qcal, grid, psd_sqrt)
+        sqrtQ = sample(Qcal.map(psd_sqrt), grid)
     except ValueError as exc:
         raise _NormsUndefined(f"running weight has no PSD square root: {exc}")
     try:
@@ -162,7 +152,7 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
     inv_sqrtQ = None
     if not (abar_zero and s_zero):
         try:
-            inv_sqrtQ = _piece_map(Qcal, grid, inv_sqrt)
+            inv_sqrtQ = sample(Qcal.map(inv_sqrt), grid)
         except ValueError as exc:
             raise _NormsUndefined(
                 f"running weight must be positive definite: {exc}")
@@ -172,14 +162,14 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
     if abar_zero:
         abar = 0.0
     else:
-        Abar_vals = np.stack([spec.Abar.at(t) for t in grid])
+        Abar_vals = sample(spec.Abar, grid)
         abar = float(spectral_norms(
             np.einsum("kij,kjl->kil", Abar_vals, inv_sqrtQ)).max())
 
     if s_zero:
         s = 0.0
     else:
-        S_vals = np.stack([S_running.at(t) for t in grid])
+        S_vals = sample(S_running, grid)
         s = float(spectral_norms(np.einsum(
             "kij,kjl,klm->kim", inv_sqrtQ, S_vals, inv_sqrtQ)).max())
         if not s_term_zero:
@@ -191,13 +181,6 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
                     f"weight must be positive definite: {exc}")
             s = max(s, spectral_norm(inv_sqrtQT @ S_terminal @ inv_sqrtQT))
     return phi, abar, s
-
-
-def _seff_schedule(spec: ProblemSpec) -> Schedule:
-    eye = np.eye(spec.n)
-    breaks = sorted({0.0, *spec.Qbar.breakpoints, *spec.S.breakpoints})
-    return Schedule.piecewise(
-        [(t, spec.Qbar.at(t) @ (eye - spec.S.at(t))) for t in breaks])
 
 
 def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
@@ -216,7 +199,7 @@ def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
     report = ConditionReport()
     try:
         phi, abar, s = _mainthm_norms(
-            spec, grid, spec.Q, spec.QT, _seff_schedule(spec),
+            spec, grid, spec.Q, spec.QT, system_blocks(spec).Seff,
             spec.terminal_effective_S)
     except _NormsUndefined as exc:
         report.verdicts["mainthm"] = Verdict("undefined", reason=exc.reason)
@@ -244,13 +227,9 @@ def check_shifted(spec: ProblemSpec, Qcal: Schedule,
         grid = build_grid(spec, steps)
     if QcalT is None:
         QcalT = Qcal.at(grid[-1])
-    eye = np.eye(spec.n)
-    breaks = sorted({0.0, *spec.Q.breakpoints, *spec.Qbar.breakpoints,
-                     *spec.S.breakpoints, *Qcal.breakpoints})
-    shifted = Schedule.piecewise(
-        [(t, spec.Q.at(t) + spec.Qbar.at(t) @ (eye - spec.S.at(t)) - Qcal.at(t))
-         for t in breaks])
-    shifted_T = spec.QT + spec.terminal_effective_S - QcalT
+    blocks = system_blocks(spec)
+    shifted = Schedule.combine(np.subtract, blocks.QS, Qcal)
+    shifted_T = blocks.GT - QcalT
 
     lam_min = min(float(np.linalg.eigvalsh((M + M.T) / 2).min())
                   for _, M in Qcal.values)
@@ -300,7 +279,7 @@ def check_riccati_solvable(spec: ProblemSpec, T0: float | None = None,
     report = ConditionReport()
     try:
         phi, abar, s = _mainthm_norms(
-            spec, grid, spec.Q, spec.QT, _seff_schedule(spec),
+            spec, grid, spec.Q, spec.QT, system_blocks(spec).Seff,
             spec.terminal_effective_S)
     except _NormsUndefined as exc:
         report.verdicts["riccati_solvable"] = Verdict("undefined",
@@ -551,10 +530,6 @@ def appendix_report(p: AppendixParams, grid: np.ndarray | None = None,
     }
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def report_text(report: ConditionReport) -> str:
     lines = []
     if report.L is not None:
@@ -575,8 +550,6 @@ def report_text(report: ConditionReport) -> str:
 def report_csv(reports: dict[str, tuple[float | None, float]]) -> str:
     """CSV rows (condition, lhs, threshold, verdict) from a mapping
     name -> (lhs, threshold, verdict)."""
-    lines = ["condition,lhs,threshold,verdict"]
-    for name, (lhs, threshold, verdict) in reports.items():
-        lhs_s = _fmt(lhs) if lhs is not None else "nan"
-        lines.append(f"{name},{lhs_s},{_fmt(threshold)},{verdict}")
-    return "\n".join(lines) + "\n"
+    return csv_text("condition,lhs,threshold,verdict",
+                    ((name, "nan" if lhs is None else lhs, threshold, verdict)
+                     for name, (lhs, threshold, verdict) in reports.items()))

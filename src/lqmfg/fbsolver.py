@@ -20,9 +20,10 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.interpolate import CubicSpline
 
-from .coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
-from .odecore import (StageSampled, matrix_exponential, rk4_integrate,
-                      stage_points)
+from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
+                     system_blocks, uniform_grid)
+from .odecore import (StageSampled, fundamental_solution, matrix_exponential,
+                      rk4_integrate, stage_points)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 
@@ -79,39 +80,17 @@ class ScanReport:
     sign_change_brackets: list[tuple[float, float]]
 
 
-def _inverse_schedule(sched: Schedule) -> Schedule:
-    return sched.map(lambda M: np.linalg.inv(M))
-
-
-def _merged_breakpoints(*scheds: Schedule) -> list[float]:
-    points = sorted({b for s in scheds for b in s.breakpoints})
-    return [0.0] + points
-
-
 def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     """The 2n x 2n piecewise-constant system matrix of the forward form
     and the terminal boundary weight QT + SeffT."""
-    n = spec.n
-    eye = np.eye(n)
-    Rinv = _inverse_schedule(spec.R)
-    pieces = []
-    for t in _merged_breakpoints(spec.A, spec.Abar, spec.B, spec.R, spec.Q,
-                                 spec.Qbar, spec.S):
-        A = spec.A.at(t)
-        B = spec.B.at(t)
-        QS = spec.Q.at(t) + spec.Qbar.at(t) @ (eye - spec.S.at(t))
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, :n] = A + spec.Abar.at(t)
-        M[:n, n:] = -B @ Rinv.at(t) @ B.T
-        M[n:, :n] = -QS
-        M[n:, n:] = -A.T
-        pieces.append((t, M))
-    GT = spec.QT + spec.terminal_effective_S
-    return Schedule.piecewise(pieces), GT
+    blocks = system_blocks(spec)
+    M = Schedule.combine(
+        lambda A, Abar, BRB, QS: np.block([[A + Abar, -BRB], [-QS, -A.T]]),
+        spec.A, spec.Abar, blocks.BRB, blocks.QS)
+    return M, blocks.GT
 
 
-def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid,
-                       cond_limit: float = COND_LIMIT):
+def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid):
     """Shooting solve of d/dt (x; p) = M(t)(x; p) + source(t) with
     x(0) = x0 and terminal condition p(T) = GT x(T) + cT.
 
@@ -140,7 +119,7 @@ def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid,
     C = np.hstack([GT, -np.eye(n)])
     N = C @ YT[:, 1:]
     cond = float(np.linalg.cond(N))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularShootingMatrix(cond)
     rhs = -(C @ YT[:, 0]) - np.asarray(cT, dtype=float).reshape(-1)
     p0 = np.linalg.solve(N, rhs)
@@ -167,8 +146,7 @@ def _ode_defect(grid, xi, eta, M_of_t, source_of_t=None) -> float:
 
 
 def solve_equilibrium_shooting(spec: ProblemSpec, grid: np.ndarray | None = None,
-                          steps: int = 2000,
-                          cond_limit: float = COND_LIMIT) -> FBSolution:
+                          steps: int = 2000) -> FBSolution:
     """Solve the equilibrium two-point system by shooting.
 
     Raises SingularShootingMatrix when the boundary operator
@@ -180,7 +158,7 @@ def solve_equilibrium_shooting(spec: ProblemSpec, grid: np.ndarray | None = None
     Msched, GT = equilibrium_system(spec)
     zero = np.zeros(spec.n)
     xi, eta, eta0, cond = shoot_affine_tpbvp(
-        Msched.at, None, spec.x0_mean, GT, zero, grid, cond_limit)
+        Msched.at, None, spec.x0_mean, GT, zero, grid)
     boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
     defect = _ode_defect(grid, xi, eta, Msched.at)
     return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
@@ -203,7 +181,6 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
         M = Msched.at(0.0)
         samples = np.stack([matrix_exponential(M * t) for t in grid])
     else:
-        from .odecore import fundamental_solution
         samples = fundamental_solution(Msched.at, 0.0, grid).samples
     det22 = np.linalg.det(samples[:, n:, n:])
     det21 = np.linalg.det(samples[:, n:, :n])
@@ -226,8 +203,6 @@ def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
         def det22(t):
             return float(np.linalg.det(matrix_exponential(M * t)[n:, n:]))
     else:
-        from .odecore import fundamental_solution
-
         def det22(t):
             g = uniform_grid(t, steps)
             phi = fundamental_solution(Msched.at, 0.0, g).samples[-1]
@@ -250,7 +225,7 @@ def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
 def q_weighted_norm(spec: ProblemSpec, grid: np.ndarray, v: np.ndarray) -> float:
     """The Hilbert-space norm ||v||_Q^2 = v_T* QT v_T + int_0^T v* Q v dt,
     with the integral by trapezoid on the grid."""
-    Qvals = np.stack([spec.Q.at(t) for t in grid])
+    Qvals = sample(spec.Q, grid)
     quad = np.einsum("ki,kij,kj->k", v, Qvals, v)
     terminal = float(v[-1] @ spec.QT @ v[-1])
     return float(np.sqrt(trapezoid(quad, grid) + terminal))
@@ -259,22 +234,11 @@ def q_weighted_norm(spec: ProblemSpec, grid: np.ndarray, v: np.ndarray) -> float
 def _aux_inner_system(spec: ProblemSpec) -> tuple[Schedule, Schedule, Schedule]:
     """System matrix of the auxiliary (classical LQ) problem plus the
     Abar and Seff schedules that multiply the frozen iterate z."""
-    n = spec.n
-    eye = np.eye(n)
-    Rinv = _inverse_schedule(spec.R)
-    seff_pieces = [(t, spec.Qbar.at(t) @ (eye - spec.S.at(t)))
-                   for t in _merged_breakpoints(spec.Qbar, spec.S)]
-    pieces = []
-    for t in _merged_breakpoints(spec.A, spec.B, spec.R, spec.Q):
-        A = spec.A.at(t)
-        B = spec.B.at(t)
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, :n] = A
-        M[:n, n:] = -B @ Rinv.at(t) @ B.T
-        M[n:, :n] = -spec.Q.at(t)
-        M[n:, n:] = -A.T
-        pieces.append((t, M))
-    return Schedule.piecewise(pieces), spec.Abar, Schedule.piecewise(seff_pieces)
+    blocks = system_blocks(spec)
+    M = Schedule.combine(
+        lambda A, BRB, Q: np.block([[A, -BRB], [-Q, -A.T]]),
+        spec.A, blocks.BRB, spec.Q)
+    return M, spec.Abar, blocks.Seff
 
 
 def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
@@ -292,6 +256,7 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
     if grid is None:
         grid = build_grid(spec, steps)
     M0, Abar, Seff = _aux_inner_system(spec)
+    Msched, GT = equilibrium_system(spec)
     SeffT = spec.terminal_effective_S
     n = spec.n
 
@@ -300,8 +265,8 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
                    and np.all(SeffT == 0))
 
     stages = stage_points(grid)
-    Abar_stage = np.stack([Abar.at(t) for t in stages])
-    Seff_stage = np.stack([Seff.at(t) for t in stages])
+    Abar_stage = sample(Abar, stages)
+    Seff_stage = sample(Seff, stages)
 
     def inner_solve(z_path):
         if z_path is None:
@@ -325,9 +290,7 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
         if diff < tol or (source_free and it == 1):
-            GT = spec.QT + SeffT
             boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
-            Msched, _ = equilibrium_system(spec)
             defect = _ode_defect(grid, xi, eta, Msched.at)
             return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
                               boundary_residual=boundary, ode_residual=defect,
@@ -363,6 +326,15 @@ class FeedbackLaw:
         return FeedbackLaw(self.grid, self.Xi, self.k,
                            theta * self.gain, theta * self.shift)
 
+    @classmethod
+    def from_paths(cls, spec: ProblemSpec, grid: np.ndarray, Xi: np.ndarray,
+                   k: np.ndarray) -> "FeedbackLaw":
+        """Precompose R^-1 B* with the paths Xi and k sampled on grid."""
+        RinvBt = sample(system_blocks(spec).RinvBt, grid)
+        gain = np.einsum("kij,kjl->kil", RinvBt, Xi)
+        shift = np.einsum("kij,kj->ki", RinvBt, k)
+        return cls(grid=grid, Xi=Xi, k=k, gain=gain, shift=shift)
+
 
 def equilibrium_control_law(spec: ProblemSpec, sol: FBSolution,
                             xi_riccati) -> FeedbackLaw:
@@ -375,30 +347,17 @@ def equilibrium_control_law(spec: ProblemSpec, sol: FBSolution,
         raise ValueError("FB solution and Riccati path use different grids")
     Xi = xi_riccati.gamma
     k = sol.eta - np.einsum("kij,kj->ki", Xi, sol.xi)
-    Rinv = _inverse_schedule(spec.R)
-    RinvBt = np.stack([Rinv.at(t) @ spec.B.at(t).T for t in grid])
-    gain = np.einsum("kij,kjl->kil", RinvBt, Xi)
-    shift = np.einsum("kij,kj->ki", RinvBt, k)
-    return FeedbackLaw(grid=grid, Xi=Xi, k=k, gain=gain, shift=shift)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    return FeedbackLaw.from_paths(spec, grid, Xi, k)
 
 
 def fbsolution_csv(sol: FBSolution) -> str:
     n = sol.xi.shape[1]
     header = ("t," + ",".join(f"xi_{i+1}" for i in range(n))
               + "," + ",".join(f"eta_{i+1}" for i in range(n)))
-    lines = [header]
-    for k, t in enumerate(sol.grid):
-        vals = [t, *sol.xi[k], *sol.eta[k]]
-        lines.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, ([t, *sol.xi[k], *sol.eta[k]]
+                             for k, t in enumerate(sol.grid)))
 
 
 def scan_csv(report: ScanReport) -> str:
-    lines = ["t,det_phi22,det_phi21"]
-    for t, d22, d21 in zip(report.grid, report.det22, report.det21):
-        lines.append(f"{_fmt(t)},{_fmt(d22)},{_fmt(d21)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("t,det_phi22,det_phi21",
+                    zip(report.grid, report.det22, report.det21))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
+from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text,
+                     system_blocks, uniform_grid)
 from .fbsolver import SingularShootingMatrix, shoot_affine_tpbvp
 
 DIFFER_RTOL = 1e-7
@@ -62,27 +63,19 @@ class ComparisonResult:
 
 
 def mftype_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
-    n = spec.n
-    eye = np.eye(n)
-    Rinv = spec.R.map(lambda M: np.linalg.inv(M))
-    breaks = sorted({0.0, *(b for sched in (spec.A, spec.Abar, spec.B, spec.R,
-                                            spec.Q, spec.Qbar, spec.S)
-                            for b in sched.breakpoints)})
-    pieces = []
-    for t in breaks:
-        A_eff = spec.A.at(t) + spec.Abar.at(t)
-        B = spec.B.at(t)
-        ImS = eye - spec.S.at(t)
-        W = spec.Q.at(t) + ImS.T @ spec.Qbar.at(t) @ ImS
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, :n] = A_eff
-        M[:n, n:] = -B @ Rinv.at(t) @ B.T
-        M[n:, :n] = -W
-        M[n:, n:] = -A_eff.T
-        pieces.append((t, M))
+    eye = np.eye(spec.n)
+
+    def system(A, Abar, BRB, Q, Qbar, S):
+        A_eff = A + Abar
+        ImS = eye - S
+        W = Q + ImS.T @ Qbar @ ImS
+        return np.block([[A_eff, -BRB], [-W, -A_eff.T]])
+
+    M = Schedule.combine(system, spec.A, spec.Abar, system_blocks(spec).BRB,
+                         spec.Q, spec.Qbar, spec.S)
     ImST = eye - spec.ST
     GT = spec.QT + ImST.T @ spec.QbarT @ ImST
-    return Schedule.piecewise(pieces), GT
+    return M, GT
 
 
 def solve_mftype_mean(spec: ProblemSpec, grid: np.ndarray | None = None,
@@ -148,19 +141,12 @@ def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
                             phi2=phi2[:, 0], psi2=psi2[:, 0])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def mftype_csv(sol: MFTypeSolution) -> str:
     n = sol.ybar.shape[1]
     header = ("t," + ",".join(f"ybar_{i+1}" for i in range(n))
               + "," + ",".join(f"pbar_{i+1}" for i in range(n)))
-    lines = [header]
-    for k, t in enumerate(sol.grid):
-        vals = [t, *sol.ybar[k], *sol.pbar[k]]
-        lines.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+    return csv_text(header, ([t, *sol.ybar[k], *sol.pbar[k]]
+                             for k, t in enumerate(sol.grid)))
 
 
 def comparison_text(res: ComparisonResult) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coeffs import MatrixPath, check_uniform_grid
+from .coeffs import check_uniform_grid
 
 
 PSD_EIG_TOL = 1e-10   # eigenvalue slack accepted as "zero" in psd_sqrt
@@ -87,11 +87,9 @@ def rk4_integrate_backward(field, yT, grid, max_abs: float | None = None) -> np.
 
 
 def _as_field(A) -> "callable":
-    """Accept a callable t -> matrix, a MatrixPath, or a constant matrix."""
+    """Accept a callable t -> matrix or a constant matrix."""
     if callable(A):
         return A
-    if isinstance(A, MatrixPath):
-        return A.at
     M = np.asarray(A, dtype=float)
     return lambda t: M
 
@@ -127,16 +125,12 @@ class FundamentalSolution:
     grid: np.ndarray
     samples: np.ndarray  # (len(grid), n, n)
 
-    def at_index(self, k: int) -> np.ndarray:
-        return self.samples[k]
-
 
 def fundamental_solution(A, s: float, grid) -> FundamentalSolution:
     """Fundamental solution associated with A_t, anchored at grid point s.
 
     Integrates forward from s to T and backward from s to 0, so samples
-    cover the whole grid.  A may be a callable, a MatrixPath, or a
-    constant matrix.
+    cover the whole grid.  A may be a callable or a constant matrix.
     """
     grid = np.asarray(grid, dtype=float)
     field_A = _as_field(A)

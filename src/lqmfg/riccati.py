@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
+from .coeffs import (ProblemSpec, build_grid, csv_text, system_blocks,
+                     uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
 from .odecore import (IntegrationOverflow, StageSampled,
                       rk4_integrate_backward, stage_points)
@@ -61,10 +62,6 @@ class RiccatiPath:
     blow_up: int | None = None
 
 
-def _inverse_schedule(sched: Schedule) -> Schedule:
-    return sched.map(lambda M: np.linalg.inv(M))
-
-
 def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
                     z=None, steps: int = 2000) -> RiccatiPath:
     """Symmetric Riccati pair of the auxiliary control problem.
@@ -78,11 +75,7 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
     if grid is None:
         grid = build_grid(spec, steps)
     n = spec.n
-    Rinv = _inverse_schedule(spec.R)
-
-    def BRB(t):
-        B = spec.B.at(t)
-        return B @ Rinv.at(t) @ B.T
+    BRB = system_blocks(spec).BRB.at
 
     if z is None:
         def field(t, Xi):
@@ -134,28 +127,23 @@ def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
     """
     if grid is None:
         grid = build_grid(spec, steps)
-    n = spec.n
-    eye = np.eye(n)
-    Rinv = _inverse_schedule(spec.R)
+    blocks = system_blocks(spec)
 
     def field(t, G):
         A = spec.A.at(t)
-        B = spec.B.at(t)
-        QS = spec.Q.at(t) + spec.Qbar.at(t) @ (eye - spec.S.at(t))
         return (-G @ (A + spec.Abar.at(t)) - A.T @ G
-                + G @ B @ Rinv.at(t) @ B.T @ G - QS)
+                + G @ blocks.BRB.at(t) @ G - blocks.QS.at(t))
 
-    GT = spec.QT + spec.terminal_effective_S
     try:
-        path = rk4_integrate_backward(field, GT, grid, max_abs=BLOW_UP_LIMIT)
+        path = rk4_integrate_backward(field, blocks.GT, grid,
+                                      max_abs=BLOW_UP_LIMIT)
     except IntegrationOverflow as exc:
         return RiccatiPath(grid=grid, gamma=exc.path, blow_up=exc.index)
     return RiccatiPath(grid=grid, gamma=path)
 
 
 def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
-                             steps: int = 2000,
-                             cond_limit: float = COND_LIMIT) -> RiccatiPath:
+                             steps: int = 2000) -> RiccatiPath:
     """Gamma through blocks of the fundamental solution (Radon's lemma):
 
         Gamma_t = -[(GT, -I) Phi(T,t) (O; I)]^-1 [(GT, -I) Phi(T,t) (I; O)]
@@ -178,7 +166,7 @@ def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
     U = CP[:, :, :n]
     V = CP[:, :, n:]
     conds = np.linalg.cond(V)
-    bad = np.flatnonzero(~np.isfinite(conds) | (conds > cond_limit))
+    bad = np.flatnonzero(~np.isfinite(conds) | (conds > COND_LIMIT))
     if bad.size:
         k = int(bad[0])
         raise BoundaryOperatorSingular(float(grid[k]), float(conds[k]))
@@ -230,20 +218,16 @@ def solve_1d_closed_form(a: float, abar: float, b: float, r: float,
     return RiccatiPath(grid=grid, gamma=np.asarray(gamma).reshape(-1, 1, 1))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def riccati_csv(path: RiccatiPath) -> str:
     n = path.gamma.shape[1]
     header = "t," + ",".join(f"gamma_{i+1}{j+1}"
                              for i in range(n) for j in range(n))
     if path.aux is not None:
         header += "," + ",".join(f"zeta_{i+1}" for i in range(n))
-    lines = [header]
+    rows = []
     for k, t in enumerate(path.grid):
-        vals = [t, *path.gamma[k].reshape(-1)]
+        row = [t, *path.gamma[k].reshape(-1)]
         if path.aux is not None:
-            vals.extend(path.aux[k])
-        lines.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(lines) + "\n"
+            row.extend(path.aux[k])
+        rows.append(row)
+    return csv_text(header, rows)

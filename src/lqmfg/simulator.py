@@ -13,13 +13,11 @@ results are reproducible and independent of scheduling.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ProblemSpec, uniform_grid
+from .coeffs import ProblemSpec, csv_text, sample, uniform_grid
 from .fbsolver import (FeedbackLaw, equilibrium_control_law,
                        solve_equilibrium_shooting)
 from .odecore import psd_sqrt
@@ -97,22 +95,6 @@ def _steps_for(spec: ProblemSpec, dt: float) -> int:
     return steps
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LQMFG_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
-
-
-def _map_replications(fn, count: int):
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(k) for k in range(count)]
-
-
 def player_stream(seed: int, replication: int, player: int) -> np.random.Generator:
     """Counter-based stream for (player, replication), derived statelessly."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, player))
@@ -140,14 +122,14 @@ class _SampledCoeffs:
     """Coefficient matrices sampled once per grid index."""
 
     def __init__(self, spec: ProblemSpec, grid: np.ndarray):
-        self.A = np.stack([spec.A.at(t) for t in grid])
-        self.Abar = np.stack([spec.Abar.at(t) for t in grid])
-        self.B = np.stack([spec.B.at(t) for t in grid])
-        self.sigma = np.stack([spec.sigma.at(t) for t in grid])
-        self.Q = np.stack([spec.Q.at(t) for t in grid])
-        self.Qbar = np.stack([spec.Qbar.at(t) for t in grid])
-        self.R = np.stack([spec.R.at(t) for t in grid])
-        self.S = np.stack([spec.S.at(t) for t in grid])
+        self.A = sample(spec.A, grid)
+        self.Abar = sample(spec.Abar, grid)
+        self.B = sample(spec.B, grid)
+        self.sigma = sample(spec.sigma, grid)
+        self.Q = sample(spec.Q, grid)
+        self.Qbar = sample(spec.Qbar, grid)
+        self.R = sample(spec.R, grid)
+        self.S = sample(spec.S, grid)
 
 
 def _law_on_grid(law: FeedbackLaw, grid: np.ndarray) -> FeedbackLaw:
@@ -237,12 +219,7 @@ def best_response_law(spec: ProblemSpec, grid: np.ndarray,
     """Best response to the frozen mean path xi, through the Riccati pair
     (Xi, zeta) rather than through the adjoint path."""
     ric = solve_symmetric(spec, grid, z=xi)
-    Rinv = spec.R.map(lambda M: np.linalg.inv(M))
-    RinvBt = np.stack([Rinv.at(t) @ spec.B.at(t).T for t in grid])
-    gain = np.einsum("kij,kjl->kil", RinvBt, ric.gamma)
-    shift = np.einsum("kij,kj->ki", RinvBt, ric.aux)
-    return FeedbackLaw(grid=grid, Xi=ric.gamma, k=ric.aux, gain=gain,
-                       shift=shift)
+    return FeedbackLaw.from_paths(spec, grid, ric.gamma, ric.aux)
 
 
 def simulate_nplayer(spec: ProblemSpec, law: FeedbackLaw, cfg: SimConfig,
@@ -307,18 +284,16 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
     cost_mean = np.empty(len(cfg.N_values))
     cost_stderr = np.empty(len(cfg.N_values))
     for j, N in enumerate(cfg.N_values):
-
-        def one(k: int, N=N):
+        gaps = np.empty(cfg.paths)
+        cgaps = np.empty(cfg.paths)
+        for k in range(cfg.paths):
             x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
             st_c, cost_c = _simulate_once(spec, co, grid, law, x0, dW)
             st_l, cost_l = _simulate_once(spec, co, grid, law, x0, dW,
                                           mean_path=xi)
             sup_sq = (np.linalg.norm(st_c - st_l, axis=2) ** 2).max(axis=0)
-            return float(sup_sq.mean()), float(np.abs(cost_c - cost_l).mean())
-
-        results = _map_replications(one, cfg.paths)
-        gaps = np.array([r[0] for r in results])
-        cgaps = np.array([r[1] for r in results])
+            gaps[k] = sup_sq.mean()
+            cgaps[k] = np.abs(cost_c - cost_l).mean()
         root = np.sqrt(cfg.paths)
         gap_mean[j] = gaps.mean()
         gap_stderr[j] = gaps.std(ddof=1) / root if cfg.paths > 1 else 0.0
@@ -353,17 +328,14 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
         deviations.append(("best_response",
                            best_response_law(spec, grid, sol.xi)))
 
-    def one(k: int):
+    diffs = np.empty((cfg.paths, len(deviations)))
+    for k in range(cfg.paths):
         x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
         _, base = _simulate_once(spec, co, grid, law, x0, dW)
-        row = np.empty(len(deviations))
         for d, (_, dev_law) in enumerate(deviations):
             _, costs = _simulate_once(spec, co, grid, law, x0, dW,
                                       player1_law=dev_law)
-            row[d] = costs[0] - base[0]
-        return row
-
-    diffs = np.stack(_map_replications(one, cfg.paths))
+            diffs[k, d] = costs[0] - base[0]
     mean = diffs.mean(axis=0)
     if cfg.paths > 1:
         stderr = diffs.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
@@ -373,23 +345,13 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
                        cost_diff=mean, stderr=stderr)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def rate_csv(report: RateReport) -> str:
-    lines = ["N,gap_mean,gap_stderr,cost_gap_mean,cost_gap_stderr"]
-    for j, N in enumerate(report.N_values):
-        lines.append(",".join([str(N), _fmt(report.gap_mean[j]),
-                               _fmt(report.gap_stderr[j]),
-                               _fmt(report.cost_gap_mean[j]),
-                               _fmt(report.cost_gap_stderr[j])]))
-    return "\n".join(lines) + "\n"
+    return csv_text("N,gap_mean,gap_stderr,cost_gap_mean,cost_gap_stderr",
+                    zip(map(str, report.N_values), report.gap_mean,
+                        report.gap_stderr, report.cost_gap_mean,
+                        report.cost_gap_stderr))
 
 
 def probe_csv(report: ProbeReport) -> str:
-    lines = ["theta,cost_diff,stderr"]
-    for j, label in enumerate(report.labels):
-        lines.append(f"{label},{_fmt(report.cost_diff[j])},"
-                     f"{_fmt(report.stderr[j])}")
-    return "\n".join(lines) + "\n"
+    return csv_text("theta,cost_diff,stderr",
+                    zip(report.labels, report.cost_diff, report.stderr))

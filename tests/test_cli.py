@@ -1,6 +1,13 @@
+import numpy as np
+
 from lqmfg.cli import bundled_config, main
 from lqmfg.coeffs import load_config
-from lqmfg.fbsolver import refine_singular_horizon
+from lqmfg.conditions import report_csv
+from lqmfg.fbsolver import (FBSolution, ScanReport, fbsolution_csv,
+                            refine_singular_horizon, scan_csv)
+from lqmfg.mftype import MFTypeSolution, mftype_csv
+from lqmfg.riccati import RiccatiPath, riccati_csv
+from lqmfg.simulator import ProbeReport, RateReport, probe_csv, rate_csv
 
 EX1 = str(bundled_config("counterexample_2d_1"))
 BENCH = str(bundled_config("benchmark_scalar"))
@@ -147,3 +154,51 @@ def test_simulate_verb_small(tmp_path, capsys):
     assert [row[0] for row in rows] == ["4", "8", "16"]
     header, rows = read_rows(tmp_path / "probe.csv")
     assert rows[-1][0] == "best_response"
+
+
+def test_csv_writers_reproduce_reference_text():
+    nan = float("nan")
+    grid = np.array([0.0, 0.5])
+    pair = np.array([[1.0 / 3.0, -2.0], [nan, 1e-300]])
+    texts = [
+        fbsolution_csv(FBSolution(grid=grid, xi=pair, eta=pair[::-1],
+                                  eta0=pair[0], boundary_residual=0.0,
+                                  ode_residual=nan)),
+        scan_csv(ScanReport(grid=grid, det22=np.array([1.0, -0.25]),
+                            det21=np.array([nan, 2e-17]),
+                            sign_change_brackets=[])),
+        riccati_csv(RiccatiPath(grid=grid,
+                                gamma=np.arange(8.0).reshape(2, 2, 2) / 7.0)),
+        riccati_csv(RiccatiPath(grid=grid, gamma=np.array([[[0.1]], [[nan]]]),
+                                aux=np.array([[-0.0], [3.0]]))),
+        mftype_csv(MFTypeSolution(grid=grid, ybar=pair[:, :1],
+                                  pbar=pair[:, 1:], boundary_residual=0.0)),
+        report_csv({"mainthm": (0.1 + 0.2, 1.0, "satisfied"),
+                    "riccati_solvable": (None, 1, "not-concluded")}),
+        rate_csv(RateReport(N_values=(10, 1250), gap_mean=np.array([0.5, nan]),
+                            gap_stderr=np.array([1e-3, 0.0]),
+                            cost_gap_mean=np.array([2.0, 1.0 / 3.0]),
+                            cost_gap_stderr=np.array([0.0, 1e20]),
+                            gap_slope=-1.0, gap_slope_stderr=0.1,
+                            cost_gap_slope=-0.5, cost_gap_slope_stderr=0.1)),
+        probe_csv(ProbeReport(labels=("0.5", "best_response"),
+                              cost_diff=np.array([0.25, nan]),
+                              stderr=np.array([1e-5, 0.0]))),
+    ]
+    assert texts == [
+        "t,xi_1,xi_2,eta_1,eta_2\n"
+        "0.0,0.3333333333333333,-2.0,nan,1e-300\n"
+        "0.5,nan,1e-300,0.3333333333333333,-2.0\n",
+        "t,det_phi22,det_phi21\n0.0,1.0,nan\n0.5,-0.25,2e-17\n",
+        "t,gamma_11,gamma_12,gamma_21,gamma_22\n"
+        "0.0,0.0,0.14285714285714285,0.2857142857142857,0.42857142857142855\n"
+        "0.5,0.5714285714285714,0.7142857142857143,0.8571428571428571,1.0\n",
+        "t,gamma_11,zeta_1\n0.0,0.1,-0.0\n0.5,nan,3.0\n",
+        "t,ybar_1,pbar_1\n0.0,0.3333333333333333,-2.0\n0.5,nan,1e-300\n",
+        "condition,lhs,threshold,verdict\n"
+        "mainthm,0.30000000000000004,1.0,satisfied\n"
+        "riccati_solvable,nan,1.0,not-concluded\n",
+        "N,gap_mean,gap_stderr,cost_gap_mean,cost_gap_stderr\n"
+        "10,0.5,0.001,2.0,0.0\n1250,nan,0.0,0.3333333333333333,1e+20\n",
+        "theta,cost_diff,stderr\n0.5,0.25,1e-05\nbest_response,nan,0.0\n",
+    ]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import scalar_spec
-from lqmfg.coeffs import (ConfigError, MatrixPath, Schedule, build_grid,
-                          effective_S, parse_config, sample, uniform_grid,
+from lqmfg.coeffs import (ConfigError, ProblemSpec, Schedule, build_grid,
+                          parse_config, sample, system_blocks, uniform_grid,
                           validate)
+from lqmfg.fbsolver import _aux_inner_system, equilibrium_system
+from lqmfg.mftype import mftype_system
 
 
 def test_validate_trivial_constant_spec_is_valid():
@@ -48,22 +50,22 @@ def test_validate_reports_dimension_mismatch():
 
 
 def test_effective_S_with_S_identity_is_zero():
-    spec = scalar_spec(qbar=3.0, s=1.0, sT=1.0, qbarT=2.0)
-    eff = effective_S(spec, uniform_grid(1.0, 10))
-    assert np.all(eff.path.samples == 0.0)
-    assert np.all(eff.terminal == 0.0)
+    spec = scalar_spec(qbar=3.0, s=1.0, sT=1.0, qbarT=2.0, qT=0.5)
+    blocks = system_blocks(spec)
+    assert np.all(sample(blocks.Seff, uniform_grid(1.0, 10)) == 0.0)
+    assert np.all(blocks.GT == spec.QT)
 
 
 def test_effective_S_with_zero_Qbar_is_zero():
     spec = scalar_spec(qbar=0.0, s=0.7)
-    eff = effective_S(spec, uniform_grid(1.0, 10))
-    assert np.all(eff.path.samples == 0.0)
+    blocks = system_blocks(spec)
+    assert np.all(sample(blocks.Seff, uniform_grid(1.0, 10)) == 0.0)
 
 
 def test_effective_S_scalar_value():
     spec = scalar_spec(qbar=2.0, s=0.5)
-    eff = effective_S(spec, uniform_grid(1.0, 4))
-    assert np.allclose(eff.path.samples, 1.0)
+    blocks = system_blocks(spec)
+    assert np.allclose(sample(blocks.Seff, uniform_grid(1.0, 4)), 1.0)
 
 
 def test_effective_S_matches_pointwise_product():
@@ -85,16 +87,74 @@ def test_effective_S_matches_pointwise_product():
                       QT=np.eye(n), QbarT=np.zeros((n, n)), ST=np.eye(n),
                       x0_mean=np.zeros(n))
     grid = uniform_grid(1.0, 7)
-    eff = effective_S(spec, grid)
+    blocks = system_blocks(spec)
+    samples = sample(blocks.Seff, grid)
     for k, t in enumerate(grid):
         expected = spec.Qbar.at(t) @ (np.eye(n) - spec.S.at(t))
-        assert np.array_equal(eff.path.samples[k], expected)
+        assert np.array_equal(samples[k], expected)
+    assert np.array_equal(blocks.GT,
+                          spec.QT + spec.QbarT @ (np.eye(n) - spec.ST))
+
+
+def _random_piecewise_spec(rng):
+    """n = 2, m = 1 spec whose A, R and Qbar switch at different times."""
+    n = 2
+
+    def psd(k, floor):
+        W = rng.normal(size=(k, k))
+        return W @ W.T / k + floor * np.eye(k)
+
+    const = Schedule.constant
+    return ProblemSpec(
+        n=n, m=1, T=1.0,
+        A=Schedule.piecewise([(0.0, rng.normal(size=(n, n))),
+                              (0.3, rng.normal(size=(n, n)))]),
+        Abar=const(rng.normal(scale=0.5, size=(n, n))),
+        B=const(rng.normal(size=(n, 1))),
+        sigma=const(np.eye(n)),
+        Q=const(psd(n, 0.1)),
+        Qbar=Schedule.piecewise([(0.0, psd(n, 0.0)), (0.45, psd(n, 0.0)),
+                                 (0.8, psd(n, 0.0))]),
+        R=Schedule.piecewise([(0.0, psd(1, 0.5)), (0.6, psd(1, 0.5))]),
+        S=const(rng.normal(scale=0.5, size=(n, n))),
+        QT=psd(n, 0.0), QbarT=psd(n, 0.0),
+        ST=rng.normal(scale=0.5, size=(n, n)), x0_mean=rng.normal(size=n))
+
+
+def test_systems_match_blocks_assembled_by_hand_on_piecewise_spec():
+    spec = _random_piecewise_spec(np.random.default_rng(7))
+    n = spec.n
+    eye = np.eye(n)
+    M_eq, GT = equilibrium_system(spec)
+    M_aux, Abar_aux, Seff_aux = _aux_inner_system(spec)
+    M_mf, _ = mftype_system(spec)
+    starts = [0.0, 0.3, 0.45, 0.6, 0.8]
+    assert [t for t, _ in M_eq.values] == starts
+    ends = starts[1:] + [spec.T]
+    times = starts + [(a + b) / 2 for a, b in zip(starts, ends)]
+    for t in times:
+        A, Abar, B = spec.A.at(t), spec.Abar.at(t), spec.B.at(t)
+        Q, Qbar, S = spec.Q.at(t), spec.Qbar.at(t), spec.S.at(t)
+        BRB = B @ np.linalg.inv(spec.R.at(t)) @ B.T
+        Seff = Qbar @ (eye - S)
+        W = Q + (eye - S).T @ Qbar @ (eye - S)
+        assert np.array_equal(
+            M_eq.at(t), np.block([[A + Abar, -BRB], [-(Q + Seff), -A.T]]))
+        assert np.array_equal(M_aux.at(t),
+                              np.block([[A, -BRB], [-Q, -A.T]]))
+        assert np.array_equal(Abar_aux.at(t), Abar)
+        assert np.array_equal(Seff_aux.at(t), Seff)
+        assert np.array_equal(
+            M_mf.at(t),
+            np.block([[A + Abar, -BRB], [-W, -(A + Abar).T]]))
+    assert np.array_equal(GT, spec.QT + spec.QbarT @ (eye - spec.ST))
 
 
 def test_sample_constant_schedule():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    path = sample(Schedule.constant(M), uniform_grid(1.0, 5))
-    assert all(np.array_equal(s, M) for s in path.samples)
+    samples = sample(Schedule.constant(M), uniform_grid(1.0, 5))
+    assert samples.shape == (6, 2, 2)
+    assert all(np.array_equal(s, M) for s in samples)
 
 
 def test_sample_piecewise_right_continuity():
@@ -102,9 +162,9 @@ def test_sample_piecewise_right_continuity():
     M2 = np.array([[2.0]])
     sched = Schedule.piecewise([(0.0, M1), (0.5, M2)])
     grid = uniform_grid(1.0, 100)
-    path = sample(sched, grid)
-    assert path.at(0.5)[0, 0] == 2.0
-    assert path.at(0.49)[0, 0] == 1.0
+    samples = sample(sched, grid)
+    assert grid[50] == 0.5 and samples[50][0, 0] == 2.0
+    assert samples[49][0, 0] == 1.0
     assert sched.at(0.5)[0, 0] == 2.0
     assert sched.at(0.49)[0, 0] == 1.0
 
@@ -112,16 +172,13 @@ def test_sample_piecewise_right_continuity():
 def test_sample_constant_consistent_across_resolutions():
     M = np.array([[2.5]])
     sched = Schedule.constant(M)
-    coarse = sample(sched, uniform_grid(1.0, 4))
-    fine = sample(sched, uniform_grid(1.0, 8))
-    for k, t in enumerate(coarse.grid):
-        assert np.array_equal(coarse.samples[k], fine.samples[2 * k])
-        assert fine.grid[2 * k] == t
-
-
-def test_matrix_path_rejects_nonuniform_grid():
-    with pytest.raises(ValueError, match="uniform"):
-        MatrixPath(np.array([0.0, 0.1, 0.3]), np.zeros((3, 1, 1)))
+    coarse_grid = uniform_grid(1.0, 4)
+    fine_grid = uniform_grid(1.0, 8)
+    coarse = sample(sched, coarse_grid)
+    fine = sample(sched, fine_grid)
+    for k, t in enumerate(coarse_grid):
+        assert np.array_equal(coarse[k], fine[2 * k])
+        assert fine_grid[2 * k] == t
 
 
 def test_build_grid_contains_breakpoints():

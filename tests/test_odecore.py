@@ -50,6 +50,12 @@ def test_rk4_backward_inverts_forward():
     assert abs(back[-1, 0] - np.e) == 0.0
 
 
+def test_rk4_rejects_nonuniform_grid():
+    with pytest.raises(ValueError, match="uniform"):
+        rk4_integrate(lambda t, y: y, np.array([1.0]),
+                      np.array([0.0, 0.1, 0.3]))
+
+
 def test_rk4_overflow_reports_first_bad_index():
     # dy/dt = y^2 from y(0)=1 escapes at t=1
     grid = uniform_grid(2.0, 100)

@@ -184,17 +184,6 @@ def test_rate_and_probe_csv_render(spec_benchmark):
     assert ptext.strip().splitlines()[-1].startswith("best_response,")
 
 
-def test_thread_pool_matches_sequential(spec_benchmark, monkeypatch):
-    cfg = make_cfg(spec_benchmark, N_values=(4, 8, 16), paths=6,
-                   x0_cov=[[0.25]])
-    monkeypatch.delenv("LQMFG_THREADS", raising=False)
-    sequential = mckean_gap(spec_benchmark, cfg)
-    monkeypatch.setenv("LQMFG_THREADS", "4")
-    threaded = mckean_gap(spec_benchmark, cfg)
-    assert np.array_equal(sequential.gap_mean, threaded.gap_mean)
-    assert np.array_equal(sequential.cost_gap_mean, threaded.cost_gap_mean)
-
-
 def test_nonfinite_states_reported():
     # Euler factor (1 + a dt) = 1e4 per step overflows double near step 77
     spec = scalar_spec(a=1e5, abar=0.0, b=0.0, sigma=0.0, q=1.0, qT=0.0,
