@@ -230,16 +230,29 @@ def _cmd_compare(args, out: Path) -> int:
 
 def _cmd_simulate(args, out: Path) -> int:
     spec = _load_validated(args)
+    # every flag is checked here, before any solve or simulation runs
     steps = args.steps if args.steps is not None else 100
-    N_values = (tuple(int(x) for x in args.N.split(","))
-                if args.N else (10, 50, 250, 1250))
-    cfg = simulator.SimConfig(
-        N_values=N_values,
-        paths=args.paths if args.paths is not None else 200,
-        seed=args.seed if args.seed is not None else 20240,
-        dt=spec.T / steps,
-        x0_mean=spec.x0_mean,
-        x0_cov=_x0_cov(args.config, spec.n))
+    if steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {steps}")
+    try:
+        N_values = (tuple(int(x) for x in args.N.split(","))
+                    if args.N else (10, 50, 250, 1250))
+    except ValueError:
+        raise ConfigError(f"--N must be comma-separated integers, "
+                          f"got {args.N!r}") from None
+    if len(set(N_values)) < 3:
+        raise ConfigError("--N needs at least 3 distinct player counts "
+                          "for the slope fit")
+    try:
+        cfg = simulator.SimConfig(
+            N_values=N_values,
+            paths=args.paths if args.paths is not None else 200,
+            seed=args.seed if args.seed is not None else 20240,
+            dt=spec.T / steps,
+            x0_mean=spec.x0_mean,
+            x0_cov=_x0_cov(args.config, spec.n))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rates = simulator.mckean_gap(spec, cfg)
     _write(out, "rates.csv", simulator.rate_csv(rates))
     probe = simulator.epsilon_nash_probe(spec, cfg, max(cfg.N_values))

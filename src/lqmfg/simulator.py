@@ -6,9 +6,21 @@ which the empirical mean is replaced by the precomputed deterministic
 path xi.  Both consume identical Wiener increments per player (common
 random numbers), so the sigma = 0 gap is exactly zero.
 
-Randomness comes from the counter-based Philox generator; the stream for
-(player i, replication k) is derived statelessly from (seed, k, i), so
-results are reproducible and independent of scheduling.
+Randomness comes from the counter-based Philox generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), one stream per
+replication k derived statelessly from (seed, k).  A replication draws
+one block of standard normals in player-major order: row i holds player
+i's initial-state normals, then its increments.  The stream is
+sequential, so a smaller draw is a prefix of a larger one: the first N
+players' draws do not depend on N, and each replication is drawn once,
+at the largest N, for every N.
+
+Euler stepping works on a stacked state of shape (runs, replications,
+N, n): the coupled and limit runs of the gap estimate, or the base and
+deviation runs of the probe, all sharing the block's draws.
+Replications are processed in blocks whose draws fit in _BLOCK_BYTES,
+so memory does not grow with the replication count and results do not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -24,6 +36,8 @@ from .odecore import psd_sqrt
 from .riccati import solve_symmetric
 
 DEFAULT_THETAS = (0.0, 0.5, 0.9, 1.1, 1.5, 2.0)
+
+_BLOCK_BYTES = 2 * 2**20  # standard normals held per block of replications
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,13 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        n = self.x0_mean.size
+        if cov.shape != (n, n):
+            raise ValueError(f"x0_cov must be {n}x{n}, got shape {cov.shape}")
+        try:
+            psd_sqrt(cov)
+        except ValueError as exc:
+            raise ValueError(f"x0_cov: {exc}") from None
 
 
 @dataclass
@@ -95,27 +116,44 @@ def _steps_for(spec: ProblemSpec, dt: float) -> int:
     return steps
 
 
-def player_stream(seed: int, replication: int, player: int) -> np.random.Generator:
-    """Counter-based stream for (player, replication), derived statelessly."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication, player))
+def replication_stream(seed: int, replication: int) -> np.random.Generator:
+    """Counter-based stream for one replication, derived statelessly."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def draw_initials_and_noise(spec: ProblemSpec, cfg: SimConfig, N: int,
                             steps: int, replication: int):
-    """x0 samples (N, n) and Wiener increments (steps, N, n), one stream
-    per player so the draws do not depend on N or on scheduling."""
+    """x0 samples (N, n) and Wiener increments (steps, N, n) of one
+    replication.
+
+    One (N, (steps+1) n) standard-normal block is drawn from the
+    replication's stream in player-major order: row i holds player i's
+    x0 normals, then its increments.  A larger N only appends rows, so
+    the first N players' draws do not depend on N."""
     n = spec.n
-    dt = spec.T / steps
-    L = psd_sqrt(cfg.x0_cov)
-    x0 = np.empty((N, n))
-    dW = np.empty((steps, N, n))
-    root = np.sqrt(dt)
-    for i in range(N):
-        g = player_stream(cfg.seed, replication, i)
-        x0[i] = cfg.x0_mean + L @ g.standard_normal(n)
-        dW[:, i, :] = root * g.standard_normal((steps, n))
+    z = replication_stream(cfg.seed, replication).standard_normal(
+        (N, (steps + 1) * n)).reshape(N, steps + 1, n)
+    x0 = cfg.x0_mean + _mv(psd_sqrt(cfg.x0_cov), z[:, 0])
+    dW = z[:, 1:].transpose(1, 0, 2)
+    dW *= np.sqrt(spec.T / steps)
     return x0, dW
+
+
+def _replication_blocks(spec: ProblemSpec, cfg: SimConfig, N: int,
+                        steps: int):
+    """Yield (replication slice, x0 (R, N, n), dW (steps, R, N, n)) for
+    consecutive blocks of R replications whose draws fit in _BLOCK_BYTES
+    (at least one each)."""
+    per_replication = N * (steps + 1) * spec.n * 8
+    size = min(cfg.paths, max(1, _BLOCK_BYTES // per_replication))
+    for start in range(0, cfg.paths, size):
+        reps = range(start, min(start + size, cfg.paths))
+        x0 = np.empty((len(reps), N, spec.n))
+        dW = np.empty((steps, len(reps), N, spec.n))
+        for j, k in enumerate(reps):
+            x0[j], dW[:, j] = draw_initials_and_noise(spec, cfg, N, steps, k)
+        yield slice(reps.start, reps.stop), x0, dW
 
 
 class _SampledCoeffs:
@@ -143,51 +181,81 @@ def _law_on_grid(law: FeedbackLaw, grid: np.ndarray) -> FeedbackLaw:
                        law.gain[::stride], law.shift[::stride])
 
 
-def _simulate_once(spec: ProblemSpec, co: _SampledCoeffs, grid: np.ndarray,
-                   law: FeedbackLaw, x0: np.ndarray, dW: np.ndarray,
-                   player1_law: FeedbackLaw | None = None,
-                   mean_path: np.ndarray | None = None):
-    """One Euler-Maruyama pass; returns (states, costs).
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over the last axis of x, summed in index order.  Leading axes
+    of M (..., m, n) broadcast against those of x.  The matrices are tiny,
+    so n broadcast multiply-adds beat one BLAS call per stacked matrix,
+    and every stacked entry is computed by the same operations."""
+    y = M[..., 0] * x[..., :1]
+    for j in range(1, x.shape[-1]):
+        y = y + M[..., j] * x[..., j:j + 1]
+    return y
 
-    mean_path = None couples the players through the empirical mean of
-    the others; otherwise every player sees the deterministic mean_path
-    (the McKean-Vlasov limit system).
+
+def _quad(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x* M x over the last axis of x."""
+    return (x * _mv(M, x)).sum(axis=-1)
+
+
+def _euler(spec: ProblemSpec, co: _SampledCoeffs, law: FeedbackLaw,
+           x0: np.ndarray, dW: np.ndarray, runs: int = 1,
+           xi: np.ndarray | None = None,
+           lead: tuple[np.ndarray, np.ndarray] | None = None,
+           costed: slice = slice(None), observe=None) -> np.ndarray:
+    """Euler-Maruyama on `runs` stacked copies of a replication block;
+    returns the costs (runs, R, players in `costed`).
+
+    Every run starts at x0 (R, N, n) and consumes the increments dW
+    (steps, R, N, n); the state has shape (runs, R, N, n).  Players see
+    the empirical mean of the others, except that with xi given the last
+    run is the McKean-Vlasov limit system, in which every player sees the
+    deterministic mean path xi.  lead = (gain, shift), stacked over runs,
+    replaces player 0's feedback.  observe(k, x) sees the state at every
+    grid index k.
     """
     steps = dW.shape[0]
-    N, n = x0.shape
-    dt = grid[1] - grid[0]
-    states = np.empty((steps + 1, N, n))
-    states[0] = x0
-    costs = np.zeros(N)
-    x = x0.copy()
+    N = x0.shape[-2]
+    dt = law.grid[1] - law.grid[0]
+    x = np.broadcast_to(x0, (runs,) + x0.shape).copy()
+    if lead is not None:
+        lead_gain, lead_shift = lead[0][:, :, None], lead[1][:, :, None]
+    costs = np.zeros(x[..., costed, 0].shape)
     prev = None
     # overflow is a reported outcome (non-finite states), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            if mean_path is None:
-                m = (x.sum(axis=0) - x) / (N - 1)
-            else:
-                m = np.broadcast_to(mean_path[k], (N, n))
-            v = -(x @ law.gain[k].T + law.shift[k])
-            if player1_law is not None:
-                v[0] = -(player1_law.gain[k] @ x[0] + player1_law.shift[k])
-            dev = x - m @ co.S[k].T
-            integrand = (np.einsum("ij,jl,il->i", x, co.Q[k], x)
-                         + np.einsum("ij,jl,il->i", v, co.R[k], v)
-                         + np.einsum("ij,jl,il->i", dev, co.Qbar[k], dev))
+            if observe is not None:
+                observe(k, x)
+            m = x.sum(axis=-2, keepdims=True) - x
+            m /= N - 1
+            if xi is not None:
+                m[-1] = xi[k]
+            v = _mv(law.gain[k], x)
+            v += law.shift[k]
+            np.negative(v, out=v)
+            if lead is not None:
+                v[..., 0, :] = -(_mv(lead_gain[:, k], x[..., 0, :])
+                                 + lead_shift[:, k])
+            xs, vs, ms = x[..., costed, :], v[..., costed, :], m[..., costed, :]
+            dev = xs - _mv(co.S[k], ms)
+            integrand = (_quad(co.Q[k], xs) + _quad(co.R[k], vs)
+                         + _quad(co.Qbar[k], dev))
             if prev is not None:
                 costs += 0.5 * dt * (prev + integrand)
             prev = integrand
             if k == steps:
                 break
-            drift = (x @ co.A[k].T + v @ co.B[k].T + m @ co.Abar[k].T)
-            x = x + drift * dt + dW[k] @ co.sigma[k].T
-            states[k + 1] = x
-        devT = x - m @ spec.ST.T
-        costs += (np.einsum("ij,jl,il->i", x, spec.QT, x)
-                  + np.einsum("ij,jl,il->i", devT, spec.QbarT, devT))
+            drift = _mv(co.A[k], x)
+            drift += _mv(co.B[k], v)
+            drift += _mv(co.Abar[k], m)
+            drift *= dt
+            x += drift
+            x += _mv(co.sigma[k], dW[k])
+        xs = x[..., costed, :]
+        devT = xs - _mv(spec.ST, m[..., costed, :])
+        costs += _quad(spec.QT, xs) + _quad(spec.QbarT, devT)
     costs *= 0.5
-    return states, costs
+    return costs
 
 
 def equilibrium_law(spec: ProblemSpec, grid: np.ndarray):
@@ -200,17 +268,18 @@ def equilibrium_law(spec: ProblemSpec, grid: np.ndarray):
 
 def _euler_mean_path(spec: ProblemSpec, co: _SampledCoeffs, grid: np.ndarray,
                      law: FeedbackLaw) -> np.ndarray:
-    """Mean path of the limit system under the same Euler scheme the
-    players use, so that with sigma = 0 and deterministic x0 the coupled
-    and limit systems coincide exactly step by step."""
+    """Mean path of the limit system under the same Euler scheme and the
+    same operations the players use, so that with sigma = 0 and
+    deterministic x0 the coupled and limit systems coincide exactly step
+    by step."""
     steps = grid.size - 1
     dt = grid[1] - grid[0]
     m = np.empty((steps + 1, spec.n))
     m[0] = spec.x0_mean
     for k in range(steps):
-        v = -(law.gain[k] @ m[k] + law.shift[k])
-        m[k + 1] = m[k] + dt * (co.A[k] @ m[k] + co.B[k] @ v
-                                + co.Abar[k] @ m[k])
+        v = -(_mv(law.gain[k], m[k]) + law.shift[k])
+        m[k + 1] = m[k] + (_mv(co.A[k], m[k]) + _mv(co.B[k], v)
+                           + _mv(co.Abar[k], m[k])) * dt
     return m
 
 
@@ -234,19 +303,22 @@ def simulate_nplayer(spec: ProblemSpec, law: FeedbackLaw, cfg: SimConfig,
     law = _law_on_grid(law, grid)
     co = _SampledCoeffs(spec, grid)
     x0, dW = draw_initials_and_noise(spec, cfg, N, steps, replication)
-    states, costs = _simulate_once(spec, co, grid, law, x0, dW)
+    states = np.empty((steps + 1, N, spec.n))
+
+    def record(k, x):
+        states[k] = x[0, 0]
+
+    costs = _euler(spec, co, law, x0[None], dW[:, None], observe=record)
     if not np.all(np.isfinite(states)):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise FloatingPointError(
             f"simulation produced non-finite states at step {bad}")
-    return NPlayerResult(grid=grid, states=states, costs=costs)
+    return NPlayerResult(grid=grid, states=states, costs=costs[0, 0])
 
 
 def _loglog_slope(N_values, estimates) -> tuple[float, float]:
     x = np.log(np.asarray(N_values, float))
     estimates = np.asarray(estimates, float)
-    if x.size < 3:
-        raise ValueError("slope fit needs at least 3 player counts")
     if np.any(estimates <= 0.0):
         return float("nan"), float("nan")  # exact-zero gaps have no rate
     y = np.log(estimates)
@@ -257,6 +329,15 @@ def _loglog_slope(N_values, estimates) -> tuple[float, float]:
     var = float(resid @ resid) / dof if dof > 0 else float("nan")
     se = np.sqrt(var / float(((x - x.mean()) ** 2).sum()))
     return float(coef[0]), float(se)
+
+
+def _mean_and_stderr(samples: np.ndarray):
+    """Mean and standard error over the last axis (replications)."""
+    paths = samples.shape[-1]
+    mean = samples.mean(axis=-1)
+    if paths > 1:
+        return mean, samples.std(axis=-1, ddof=1) / np.sqrt(paths)
+    return mean, np.zeros_like(mean)
 
 
 def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
@@ -270,6 +351,8 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
     empirical-mean fluctuation (theoretical rates 1/N for the state gap
     and 1/sqrt(N) for the cost gap).
     """
+    if len(set(cfg.N_values)) < 3:
+        raise ValueError("slope fit needs at least 3 distinct player counts")
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
     if law is None:
@@ -279,27 +362,24 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
     co = _SampledCoeffs(spec, grid)
     xi = _euler_mean_path(spec, co, grid, law)
 
-    gap_mean = np.empty(len(cfg.N_values))
-    gap_stderr = np.empty(len(cfg.N_values))
-    cost_mean = np.empty(len(cfg.N_values))
-    cost_stderr = np.empty(len(cfg.N_values))
-    for j, N in enumerate(cfg.N_values):
-        gaps = np.empty(cfg.paths)
-        cgaps = np.empty(cfg.paths)
-        for k in range(cfg.paths):
-            x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
-            st_c, cost_c = _simulate_once(spec, co, grid, law, x0, dW)
-            st_l, cost_l = _simulate_once(spec, co, grid, law, x0, dW,
-                                          mean_path=xi)
-            sup_sq = (np.linalg.norm(st_c - st_l, axis=2) ** 2).max(axis=0)
-            gaps[k] = sup_sq.mean()
-            cgaps[k] = np.abs(cost_c - cost_l).mean()
-        root = np.sqrt(cfg.paths)
-        gap_mean[j] = gaps.mean()
-        gap_stderr[j] = gaps.std(ddof=1) / root if cfg.paths > 1 else 0.0
-        cost_mean[j] = cgaps.mean()
-        cost_stderr[j] = cgaps.std(ddof=1) / root if cfg.paths > 1 else 0.0
+    gaps = np.empty((len(cfg.N_values), cfg.paths))
+    cost_gaps = np.empty_like(gaps)
+    for block, x0, dW in _replication_blocks(spec, cfg, max(cfg.N_values),
+                                             steps):
+        for j, N in enumerate(cfg.N_values):
+            sup_sq = np.zeros(x0.shape[:1] + (N,))
 
+            def track(k, x):
+                d = x[0] - x[1]
+                np.maximum(sup_sq, (d * d).sum(axis=-1), out=sup_sq)
+
+            costs = _euler(spec, co, law, x0[:, :N], dW[:, :, :N], runs=2,
+                           xi=xi, observe=track)
+            gaps[j, block] = sup_sq.mean(axis=-1)
+            cost_gaps[j, block] = np.abs(costs[0] - costs[1]).mean(axis=-1)
+
+    gap_mean, gap_stderr = _mean_and_stderr(gaps)
+    cost_mean, cost_stderr = _mean_and_stderr(cost_gaps)
     g_slope, g_se = _loglog_slope(cfg.N_values, gap_mean)
     c_slope, c_se = _loglog_slope(cfg.N_values, cost_mean)
     return RateReport(N_values=cfg.N_values, gap_mean=gap_mean,
@@ -315,8 +395,9 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
     """Cost change for player 1 under unilateral deviations.
 
     Candidates are the equilibrium law scaled by each theta plus the
-    frozen-mean best response from the Riccati route.  All runs share the
-    replication's increments, so theta = 1 would give exactly zero.
+    frozen-mean best response from the Riccati route.  The base run and
+    one run per candidate are stacked and share the replication's
+    increments, so theta = 1 gives exactly zero.
     """
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
@@ -327,20 +408,16 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
     if include_best_response:
         deviations.append(("best_response",
                            best_response_law(spec, grid, sol.xi)))
+    leads = [law] + [dev_law for _, dev_law in deviations]
+    lead = (np.stack([lw.gain for lw in leads]),
+            np.stack([lw.shift for lw in leads]))
 
-    diffs = np.empty((cfg.paths, len(deviations)))
-    for k in range(cfg.paths):
-        x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
-        _, base = _simulate_once(spec, co, grid, law, x0, dW)
-        for d, (_, dev_law) in enumerate(deviations):
-            _, costs = _simulate_once(spec, co, grid, law, x0, dW,
-                                      player1_law=dev_law)
-            diffs[k, d] = costs[0] - base[0]
-    mean = diffs.mean(axis=0)
-    if cfg.paths > 1:
-        stderr = diffs.std(axis=0, ddof=1) / np.sqrt(cfg.paths)
-    else:
-        stderr = np.zeros_like(mean)
+    diffs = np.empty((len(deviations), cfg.paths))
+    for block, x0, dW in _replication_blocks(spec, cfg, N, steps):
+        costs = _euler(spec, co, law, x0, dW, runs=len(leads), lead=lead,
+                       costed=slice(0, 1))[..., 0]
+        diffs[:, block] = costs[1:] - costs[0]
+    mean, stderr = _mean_and_stderr(diffs)
     return ProbeReport(labels=tuple(lbl for lbl, _ in deviations),
                        cost_diff=mean, stderr=stderr)
 

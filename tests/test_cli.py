@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from lqmfg import simulator
 from lqmfg.cli import bundled_config, main
 from lqmfg.coeffs import load_config
 from lqmfg.conditions import report_csv
@@ -92,9 +94,11 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
                      "--steps", "300", "--out", str(out)]) == 0
         assert main(["riccati", "--config", BENCH, "--steps", "200",
                      "--out", str(out)]) == 0
+        assert main(["simulate", "--config", BENCH, "--N", "4,8,16",
+                     "--paths", "3", "--steps", "10", "--out", str(out)]) == 0
     assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
     for name in ("riccati_direct.csv", "riccati_radon.csv",
-                 "riccati_closed_form.csv"):
+                 "riccati_closed_form.csv", "rates.csv", "probe.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -154,6 +158,36 @@ def test_simulate_verb_small(tmp_path, capsys):
     assert [row[0] for row in rows] == ["4", "8", "16"]
     header, rows = read_rows(tmp_path / "probe.csv")
     assert rows[-1][0] == "best_response"
+
+
+@pytest.mark.parametrize("flags, x0_cov, message", [
+    (["--N", "4,8"], None, "at least 3 distinct"),
+    (["--N", "1,4,8"], None, "at least 2"),
+    (["--N", "4,x,8"], None, "comma-separated integers"),
+    (["--paths", "0"], None, "replication"),
+    (["--steps", "0"], None, "--steps"),
+    ([], "0.25, 0.1", "x0_cov must be 1x1"),
+    ([], "-0.25", "not positive semidefinite"),
+])
+def test_simulate_rejects_bad_input_before_simulating(tmp_path, capsys,
+                                                      monkeypatch, flags,
+                                                      x0_cov, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulated despite bad input")
+
+    monkeypatch.setattr(simulator, "equilibrium_law", unreachable)
+    config = BENCH
+    if x0_cov is not None:
+        config = tmp_path / "bad.cfg"
+        config.write_text(open(BENCH).read().replace(
+            "x0_cov = 0.25", f"x0_cov = {x0_cov}"))
+    code = main(["simulate", "--config", str(config), "--paths", "2",
+                 "--out", str(tmp_path), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "rates.csv").exists()
 
 
 def test_csv_writers_reproduce_reference_text():

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import scalar_spec
-from lqmfg.coeffs import uniform_grid
+from lqmfg import simulator
+from lqmfg.coeffs import ProblemSpec, Schedule, sample, uniform_grid
 from lqmfg.fbsolver import FeedbackLaw
-from lqmfg.simulator import (SimConfig, draw_initials_and_noise,
-                             epsilon_nash_probe, equilibrium_law, mckean_gap,
-                             player_stream, probe_csv, rate_csv,
+from lqmfg.simulator import (DEFAULT_THETAS, SimConfig, best_response_law,
+                             draw_initials_and_noise, epsilon_nash_probe,
+                             equilibrium_law, mckean_gap,
+                             probe_csv, rate_csv, replication_stream,
                              simulate_nplayer)
 
 
@@ -89,11 +93,13 @@ def test_single_euler_step_hand_computed():
 
 
 def test_streams_are_deterministic_and_distinct():
-    a = player_stream(42, 3, 5).standard_normal(4)
-    b = player_stream(42, 3, 5).standard_normal(4)
-    c = player_stream(42, 3, 6).standard_normal(4)
+    a = replication_stream(42, 3).standard_normal(4)
+    b = replication_stream(42, 3).standard_normal(4)
+    c = replication_stream(42, 4).standard_normal(4)
+    d = replication_stream(43, 3).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_draws_do_not_depend_on_player_count(spec_benchmark):
@@ -193,3 +199,145 @@ def test_nonfinite_states_reported():
     cfg = make_cfg(spec, dt=0.1)
     with pytest.raises(FloatingPointError, match="non-finite"):
         simulate_nplayer(spec, law, cfg, N=3)
+
+
+def piecewise_2d_spec() -> ProblemSpec:
+    """n = 2, m = 1, A and Qbar switching mid-horizon, correlated noise."""
+    c = Schedule.constant
+    return ProblemSpec(
+        n=2, m=1, T=1.0,
+        A=Schedule.piecewise([(0.0, [[0.2, 0.1], [-0.1, 0.3]]),
+                              (0.4, [[-0.3, 0.2], [0.0, 0.1]])]),
+        Abar=c([[0.2, 0.0], [0.1, 0.15]]), B=c([[1.0], [0.5]]),
+        sigma=c([[0.3, 0.0], [0.1, 0.2]]), Q=c([[1.0, 0.2], [0.2, 0.8]]),
+        Qbar=Schedule.piecewise([(0.0, [[0.5, 0.0], [0.0, 0.3]]),
+                                 (0.65, [[0.2, 0.1], [0.1, 0.4]])]),
+        R=c([[1.0]]), S=c([[0.5, 0.0], [0.2, 0.4]]),
+        QT=np.array([[0.5, 0.0], [0.0, 0.3]]),
+        QbarT=np.array([[0.2, 0.0], [0.0, 0.1]]), ST=np.eye(2),
+        x0_mean=np.array([1.0, -0.5]), delta=0.5)
+
+
+def piecewise_2d_cfg(spec):
+    return SimConfig(N_values=(3, 5, 9), paths=5, seed=11, dt=0.05,
+                     x0_mean=spec.x0_mean,
+                     x0_cov=[[0.25, 0.05], [0.05, 0.1]])
+
+
+def reference_run(spec, law, x0, dW, lead=None, xi=None):
+    """One replication, one run, stepped as plainly as possible: the
+    reference the batched Euler core is checked against.  Returns the
+    states (steps+1, N, n) and costs (N,)."""
+    grid = law.grid
+    co = {name: sample(getattr(spec, name), grid)
+          for name in ("A", "Abar", "B", "sigma", "Q", "Qbar", "R", "S")}
+    dt = grid[1] - grid[0]
+    N = x0.shape[0]
+    quad = lambda y, M: np.einsum("ij,jl,il->i", y, M, y)
+    x, states, costs, prev = x0, [x0], np.zeros(N), None
+    for k in range(grid.size):
+        if xi is None:
+            m = (x.sum(axis=0) - x) / (N - 1)
+        else:
+            m = np.tile(xi[k], (N, 1))
+        v = -(x @ law.gain[k].T + law.shift[k])
+        if lead is not None:
+            v[0] = -(lead.gain[k] @ x[0] + lead.shift[k])
+        dev = x - m @ co["S"][k].T
+        integrand = (quad(x, co["Q"][k]) + quad(v, co["R"][k])
+                     + quad(dev, co["Qbar"][k]))
+        if prev is not None:
+            costs = costs + 0.5 * dt * (prev + integrand)
+        prev = integrand
+        if k == grid.size - 1:
+            break
+        drift = x @ co["A"][k].T + v @ co["B"][k].T + m @ co["Abar"][k].T
+        x = x + drift * dt + dW[k] @ co["sigma"][k].T
+        states.append(x)
+    devT = x - m @ spec.ST.T
+    costs = costs + quad(x, spec.QT) + quad(devT, spec.QbarT)
+    return np.array(states), 0.5 * costs
+
+
+def reference_mean_path(spec, law):
+    grid = law.grid
+    A, Abar, B = (sample(s, grid) for s in (spec.A, spec.Abar, spec.B))
+    xi = [spec.x0_mean]
+    for k in range(grid.size - 1):
+        v = -(law.gain[k] @ xi[k] + law.shift[k])
+        xi.append(xi[k] + (A[k] @ xi[k] + B[k] @ v + Abar[k] @ xi[k])
+                  * (grid[1] - grid[0]))
+    return np.array(xi)
+
+
+def mean_and_stderr(samples):
+    return (samples.mean(axis=0),
+            samples.std(axis=0, ddof=1) / np.sqrt(len(samples)))
+
+
+def test_batched_core_matches_per_replication_reference():
+    spec = piecewise_2d_spec()
+    cfg = piecewise_2d_cfg(spec)
+    steps = 20
+    grid = uniform_grid(spec.T, steps)
+    law, sol = equilibrium_law(spec, grid)
+    xi = reference_mean_path(spec, law)
+    N_max = max(cfg.N_values)
+
+    gaps, cost_gaps = [], []
+    for k in range(cfg.paths):
+        x0, dW = draw_initials_and_noise(spec, cfg, N_max, steps, k)
+        row, cost_row = [], []
+        for N in cfg.N_values:
+            st_c, c_c = reference_run(spec, law, x0[:N], dW[:, :N])
+            st_l, c_l = reference_run(spec, law, x0[:N], dW[:, :N], xi=xi)
+            sup_sq = (np.linalg.norm(st_c - st_l, axis=2) ** 2).max(axis=0)
+            row.append(sup_sq.mean())
+            cost_row.append(np.abs(c_c - c_l).mean())
+        gaps.append(row)
+        cost_gaps.append(cost_row)
+    report = mckean_gap(spec, cfg)
+    for got, want in zip(
+            (report.gap_mean, report.gap_stderr, report.cost_gap_mean,
+             report.cost_gap_stderr),
+            mean_and_stderr(np.array(gaps)) + mean_and_stderr(np.array(cost_gaps))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(report.gap_mean > 0.0)
+
+    N = 6
+    deviations = [law.scaled(theta) for theta in DEFAULT_THETAS]
+    deviations.append(best_response_law(spec, grid, sol.xi))
+    diffs, base_costs = [], []
+    for k in range(cfg.paths):
+        x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
+        _, base = reference_run(spec, law, x0, dW)
+        base_costs.append(base[0])
+        diffs.append([reference_run(spec, law, x0, dW, lead=dev)[1][0] - base[0]
+                      for dev in deviations])
+    probe = epsilon_nash_probe(spec, cfg, N)
+    # the best response's diff cancels to ~5e-7 of costs of order 1, so
+    # its rounding is relative to the costs it is the difference of
+    scale = np.mean(np.abs(base_costs))
+    for got, want in zip((probe.cost_diff, probe.stderr),
+                         mean_and_stderr(np.array(diffs))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+    same = epsilon_nash_probe(spec, cfg, N, deviation_thetas=(1.0,),
+                              include_best_response=False)
+    assert np.all(same.cost_diff == 0.0)
+
+
+@pytest.mark.parametrize("budget", [1, 2 * 9 * 21 * 2 * 8])
+def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
+    # one replication per block, then blocks of 2, 2 and 1 (a replication
+    # of 9 players draws 21 steps of 2 normals), against one single block
+    spec = piecewise_2d_spec()
+    cfg = piecewise_2d_cfg(spec)
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", 2**40)
+    rates = mckean_gap(spec, cfg)
+    probe = epsilon_nash_probe(spec, cfg, 9)
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", budget)
+    for got, want in ((mckean_gap(spec, cfg), rates),
+                      (epsilon_nash_probe(spec, cfg, 9), probe)):
+        for field in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, field.name),
+                                          getattr(want, field.name))
