@@ -98,6 +98,14 @@ def _load_validated(args) -> ProblemSpec:
     return spec
 
 
+def _steps(args, default: int) -> int:
+    """The --steps value or the verb's default, checked before any solve."""
+    steps = args.steps if args.steps is not None else default
+    if steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {steps}")
+    return steps
+
+
 def _cmd_validate(args, out: Path) -> int:
     spec = load_config(args.config)
     report = validate(spec)
@@ -111,7 +119,9 @@ def _cmd_validate(args, out: Path) -> int:
 def _cmd_scan(args, out: Path) -> int:
     spec = _load_validated(args)
     t_max = args.tmax if args.tmax is not None else spec.T
-    steps = args.steps if args.steps is not None else 1000
+    if not 0.0 < t_max < np.inf:
+        raise ConfigError(f"--tmax must be positive and finite, got {t_max}")
+    steps = _steps(args, 1000)
     report = fbsolver.existence_scan(spec, t_max, steps)
     _write(out, "scan.csv", fbsolver.scan_csv(report))
     print(f"scan: {steps} points on [0, {t_max:g}]; "
@@ -122,8 +132,7 @@ def _cmd_scan(args, out: Path) -> int:
 
 def _cmd_solve(args, out: Path) -> int:
     spec = _load_validated(args)
-    steps = args.steps if args.steps is not None else 2000
-    grid = build_grid(spec, steps)
+    grid = build_grid(spec, _steps(args, 2000))
     sol = fbsolver.solve_equilibrium_shooting(spec, grid)
     _write(out, "solution.csv", fbsolver.fbsolution_csv(sol))
     tol = args.tol if args.tol is not None else 1e-10
@@ -141,8 +150,7 @@ def _cmd_solve(args, out: Path) -> int:
 
 def _cmd_riccati(args, out: Path) -> int:
     spec = _load_validated(args)
-    steps = args.steps if args.steps is not None else 2000
-    grid = build_grid(spec, steps)
+    grid = build_grid(spec, _steps(args, 2000))
     direct = riccati.solve_nonsymmetric_direct(spec, grid)
     _write(out, "riccati_direct.csv", riccati.riccati_csv(direct))
     if direct.blow_up is not None:
@@ -164,7 +172,7 @@ def _cmd_riccati(args, out: Path) -> int:
 
 def _cmd_check(args, out: Path) -> int:
     spec = _load_validated(args)
-    steps = args.steps if args.steps is not None else 400
+    steps = _steps(args, 400)
     grid = build_grid(spec, steps)
     L = conditions.compute_L(spec, grid)
     main = conditions.compute_mainthm_norms(spec, grid)
@@ -203,8 +211,7 @@ def _cmd_check(args, out: Path) -> int:
 
 def _cmd_mftype(args, out: Path) -> int:
     spec = _load_validated(args)
-    steps = args.steps if args.steps is not None else 2000
-    sol = mftype.solve_mftype_mean(spec, build_grid(spec, steps))
+    sol = mftype.solve_mftype_mean(spec, build_grid(spec, _steps(args, 2000)))
     _write(out, "mftype.csv", mftype.mftype_csv(sol))
     print(f"mftype: boundary residual {sol.boundary_residual:.3e}")
     return 0
@@ -216,7 +223,7 @@ def _cmd_compare(args, out: Path) -> int:
         raise ConfigError("compare needs a scalar (n = m = 1) config")
     if not all(s.is_constant for s in spec.schedules().values()):
         raise ConfigError("compare needs constant coefficients")
-    steps = args.steps if args.steps is not None else 2000
+    steps = _steps(args, 2000)
     res = mftype.compare_mfg_mftype(
         a=float(spec.A.at(0)[0, 0]), abar=float(spec.Abar.at(0)[0, 0]),
         b=float(spec.B.at(0)[0, 0]), T=spec.T,
@@ -231,9 +238,7 @@ def _cmd_compare(args, out: Path) -> int:
 def _cmd_simulate(args, out: Path) -> int:
     spec = _load_validated(args)
     # every flag is checked here, before any solve or simulation runs
-    steps = args.steps if args.steps is not None else 100
-    if steps < 1:
-        raise ConfigError(f"--steps must be at least 1, got {steps}")
+    steps = _steps(args, 100)
     try:
         N_values = (tuple(int(x) for x in args.N.split(","))
                     if args.N else (10, 50, 250, 1250))
@@ -266,7 +271,7 @@ def _cmd_simulate(args, out: Path) -> int:
 
 def _cmd_appendix(args, out: Path) -> int:
     params = _parse_appendix(args.config)
-    steps = args.steps if args.steps is not None else 2000
+    steps = _steps(args, 2000)
     rep = conditions.appendix_report(params, steps=steps)
     lines = [
         f"feedback-route contraction bound: lhs = {rep['feedback_lhs']:.6g}"

@@ -26,9 +26,9 @@ from scipy.interpolate import CubicSpline
 
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
-from .odecore import (StageSampled, inv_sqrt, psd_sqrt, rk4_integrate,
-                      rk4_integrate_backward, spectral_norm, spectral_norms,
-                      stage_points)
+from .odecore import (StageSampled, _rk4_linear, inv_sqrt, psd_sqrt,
+                      rk4_integrate, rk4_integrate_backward, spectral_norm,
+                      spectral_norms, stage_points)
 
 BORDERLINE_TOL = 1e-9
 PHI_BLOCK = 64  # times per batch of products normed in _phi_weighted_norm
@@ -108,11 +108,7 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
     Uses phi(s,t) = phi(s,0) phi(t,0)^-1 so a single fundamental-solution
     pass suffices; the products are normed in batches.
     """
-    def field(t, phi):
-        return A_sched.at(t) @ phi
-
-    n = sqrtQ.shape[-1]
-    Phi = rk4_integrate(field, np.eye(n), grid)
+    Phi = _rk4_linear(A_sched, np.eye(sqrtQ.shape[-1]), grid)
     G = np.einsum("sji,sjk->sik", Phi, sqrtQ)          # phi(s,0)^T Qs^1/2
     G_term = Phi[-1].T @ sqrtQ_terminal
     X = np.linalg.inv(Phi).transpose(0, 2, 1)          # phi(t,0)^-T

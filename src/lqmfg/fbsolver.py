@@ -22,8 +22,8 @@ from scipy.interpolate import CubicSpline
 
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
-from .odecore import (StageSampled, fundamental_solution, matrix_exponential,
-                      rk4_integrate, stage_points)
+from .odecore import (_rk4_linear, fundamental_solution, matrix_exponential,
+                      stage_points)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 
@@ -90,13 +90,14 @@ def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     return M, blocks.GT
 
 
-def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid):
+def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
     """Shooting solve of d/dt (x; p) = M(t)(x; p) + source(t) with
     x(0) = x0 and terminal condition p(T) = GT x(T) + cT.
 
-    One forward RK4 pass integrates the particular solution and the n
-    homogeneous columns seeded by p(0) = e_i; the terminal condition then
-    determines p(0) from an n x n linear system.  Returns
+    source is None or the source's values on stage_points(grid), shape
+    (2K+1, 2n).  One forward RK4 pass integrates the particular solution
+    and the n homogeneous columns seeded by p(0) = e_i; the terminal
+    condition then determines p(0) from an n x n linear system.  Returns
     (x path, p path, p0, condition number of the boundary operator).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -104,17 +105,13 @@ def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid):
     Y0 = np.zeros((2 * n, n + 1))
     Y0[:n, 0] = x0
     Y0[n:, 1:] = np.eye(n)
+    if source is not None:
+        # the source drives the particular column only
+        source_cols = np.zeros((len(source),) + Y0.shape)
+        source_cols[:, :, 0] = source
+        source = source_cols
 
-    if source_of_t is None:
-        def field(t, Y):
-            return M_of_t(t) @ Y
-    else:
-        def field(t, Y):
-            dY = M_of_t(t) @ Y
-            dY[:, 0] += source_of_t(t)
-            return dY
-
-    path = rk4_integrate(field, Y0, grid)
+    path = _rk4_linear(M, Y0, grid, source)
     YT = path[-1]
     C = np.hstack([GT, -np.eye(n)])
     N = C @ YT[:, 1:]
@@ -127,7 +124,7 @@ def shoot_affine_tpbvp(M_of_t, source_of_t, x0, GT, cT, grid):
     return w[:, :n], w[:, n:], p0, cond
 
 
-def _ode_defect(grid, xi, eta, M_of_t, source_of_t=None) -> float:
+def _ode_defect(grid, xi, eta, M: Schedule) -> float:
     """Max defect of the paths against the right-hand side, measured by a
     5-point (4th-order) finite-difference re-differencing on interior points."""
     w = np.hstack([xi, eta])
@@ -136,13 +133,8 @@ def _ode_defect(grid, xi, eta, M_of_t, source_of_t=None) -> float:
         return float("nan")
     h = grid[1] - grid[0]
     dw = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * h)
-    worst = 0.0
-    for j, k in enumerate(range(2, K - 1)):
-        rhs = M_of_t(grid[k]) @ w[k]
-        if source_of_t is not None:
-            rhs = rhs + source_of_t(grid[k])
-        worst = max(worst, float(np.max(np.abs(dw[j] - rhs))))
-    return worst
+    rhs = np.einsum("kij,kj->ki", sample(M, grid[2:K - 1]), w[2:K - 1])
+    return float(np.max(np.abs(dw - rhs)))
 
 
 def solve_equilibrium_shooting(spec: ProblemSpec, grid: np.ndarray | None = None,
@@ -158,9 +150,9 @@ def solve_equilibrium_shooting(spec: ProblemSpec, grid: np.ndarray | None = None
     Msched, GT = equilibrium_system(spec)
     zero = np.zeros(spec.n)
     xi, eta, eta0, cond = shoot_affine_tpbvp(
-        Msched.at, None, spec.x0_mean, GT, zero, grid)
+        Msched, None, spec.x0_mean, GT, zero, grid)
     boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
-    defect = _ode_defect(grid, xi, eta, Msched.at)
+    defect = _ode_defect(grid, xi, eta, Msched)
     return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
                       boundary_residual=boundary, ode_residual=defect,
                       shooting_condition=cond)
@@ -172,8 +164,11 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
     For constant coefficients Phi_t = exp(M t) via the matrix exponential;
     otherwise Phi is integrated as a fundamental solution.  Sign changes
     of det Phi22 bracket horizons T0 at which the equilibrium system
-    loses unique solvability.
+    loses unique solvability.  t_max must be positive and finite.
     """
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"scan horizon must be positive and finite, "
+                         f"got {t_max}")
     Msched, _ = equilibrium_system(spec)
     grid = uniform_grid(t_max, steps)
     n = spec.n
@@ -181,7 +176,7 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
         M = Msched.at(0.0)
         samples = np.stack([matrix_exponential(M * t) for t in grid])
     else:
-        samples = fundamental_solution(Msched.at, 0.0, grid).samples
+        samples = fundamental_solution(Msched, 0.0, grid).samples
     det22 = np.linalg.det(samples[:, n:, n:])
     det21 = np.linalg.det(samples[:, n:, :n])
     brackets = [(float(grid[k]), float(grid[k + 1]))
@@ -205,7 +200,7 @@ def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
     else:
         def det22(t):
             g = uniform_grid(t, steps)
-            phi = fundamental_solution(Msched.at, 0.0, g).samples[-1]
+            phi = fundamental_solution(Msched, 0.0, g).samples[-1]
             return float(np.linalg.det(phi[n:, n:]))
 
     lo, hi = bracket
@@ -274,12 +269,11 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
             cT = np.zeros(n)
         else:
             z_stage = CubicSpline(grid, z_path, axis=0)(stages)
-            src = np.concatenate(
+            source = np.concatenate(
                 [np.einsum("kij,kj->ki", Abar_stage, z_stage),
                  -np.einsum("kij,kj->ki", Seff_stage, z_stage)], axis=1)
-            source = StageSampled(grid, src)
             cT = SeffT @ z_path[-1]
-        return shoot_affine_tpbvp(M0.at, source, spec.x0_mean, spec.QT, cT, grid)
+        return shoot_affine_tpbvp(M0, source, spec.x0_mean, spec.QT, cT, grid)
 
     z = np.zeros((grid.size, n))
     prev_diff = None
@@ -291,7 +285,7 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
             ratio = diff / prev_diff
         if diff < tol or (source_free and it == 1):
             boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
-            defect = _ode_defect(grid, xi, eta, Msched.at)
+            defect = _ode_defect(grid, xi, eta, Msched)
             return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
                               boundary_residual=boundary, ode_residual=defect,
                               iterations=it, contraction_ratio=ratio)

@@ -86,7 +86,7 @@ def solve_mftype_mean(spec: ProblemSpec, grid: np.ndarray | None = None,
     Msched, GT = mftype_system(spec)
     try:
         ybar, pbar, _, _ = shoot_affine_tpbvp(
-            Msched.at, None, spec.x0_mean, GT, np.zeros(spec.n), grid)
+            Msched, None, spec.x0_mean, GT, np.zeros(spec.n), grid)
     except SingularShootingMatrix as exc:
         raise RuntimeError(
             "mean-field-type shooting operator is singular; this contradicts "
@@ -113,8 +113,8 @@ def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
     brb = b * b / r
 
     def system(back_diag: float):
-        M = np.array([[a + abar, -brb], [-q, -back_diag]])
-        return shoot_affine_tpbvp(lambda t: M, None, np.array([x0_mean]),
+        M = Schedule.constant([[a + abar, -brb], [-q, -back_diag]])
+        return shoot_affine_tpbvp(M, None, np.array([x0_mean]),
                                   np.array([[qT]]), np.zeros(1), grid)
 
     phi1, psi1, _, _ = system(a)

@@ -1,10 +1,20 @@
 """Deterministic ODE integration and matrix utilities.
 
-Classical fixed-step RK4 for vector- and matrix-valued linear-affine
-systems, fundamental solutions of dphi/dt = A_t phi, matrix exponentials,
-principal PSD square roots, and spectral norms.  Backward problems are
-integrated by the substitution tau = T - t so there is a single forward
-integrator code path.
+Two forms of the same classical fixed-step RK4 scheme:
+
+* `rk4_integrate` steps any right-hand side field(t, y) by four Python
+  field calls per step; the nonlinear Riccati equations and the scalar
+  appendix routes use it.
+* `_rk4_linear` steps a linear system y' = M(t) y + s(t) with a
+  piecewise-constant `Schedule` M by exact per-step maps
+  y_{k+1} = E_k y_k + f_k, all built in batched numpy before one matmul
+  per step.  Every linear solve of the package uses it: shooting,
+  fundamental solutions, the Radon backward pass and |||phi|||.
+
+Also here: fundamental solutions of dphi/dt = A_t phi, matrix
+exponentials, principal PSD square roots, and spectral norms.  Backward
+problems are integrated by the substitution tau = T - t, so each form has
+a single forward stepping loop.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coeffs import check_uniform_grid
+from .coeffs import Schedule, check_uniform_grid, sample
 
 
 PSD_EIG_TOL = 1e-10   # eigenvalue slack accepted as "zero" in psd_sqrt
@@ -86,12 +96,75 @@ def rk4_integrate_backward(field, yT, grid, max_abs: float | None = None) -> np.
     return rev[::-1].copy()
 
 
-def _as_field(A) -> "callable":
-    """Accept a callable t -> matrix or a constant matrix."""
-    if callable(A):
-        return A
-    M = np.asarray(A, dtype=float)
-    return lambda t: M
+def _rk4_linear(M: Schedule, y0, grid, source=None,
+                backward: bool = False) -> np.ndarray:
+    """RK4 path of y' = M(t) y + s(t) on a uniform grid, by per-step maps.
+
+    The scheme is `rk4_integrate` on field(t, y) = M.at(t) @ y + s(t),
+    rearranged (equal up to rounding) as y_{k+1} = E_k y_k + f_k with
+
+        E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M1,
+        K2 = M2 (I + h/2 K1),  K3 = M2 (I + h/2 K2),  K4 = M3 (I + h K3),
+
+    where M1, M2, M3 are M at the stage times t_k, t_k + h/2, t_k + h (the
+    floats `rk4_integrate` evaluates, looked up right-continuously), and
+    f_k is the same stage algebra applied to the stage sources.  source,
+    if given, holds s on stage_points(grid), shape (2K+1,) + y0.shape.
+    With backward=True the path runs from y(T) = y0 as in
+    `rk4_integrate_backward`.  Returns the path, shape (K+1,) + y0.shape;
+    raises IntegrationOverflow at the first non-finite grid value.
+    """
+    grid = np.asarray(grid, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    T = grid[-1]
+    taus = T - grid[::-1] if backward else grid
+    check_uniform_grid(taus)
+    K = taus.size - 1
+    d = y0.shape[0]
+    h = taus[1:] - taus[:-1]
+    half = h / 2.0
+    stage_t = np.concatenate([taus[:-1], taus[:-1] + half, taus[:-1] + h])
+    stages = sample(M, T - stage_t if backward else stage_t)
+    if backward:
+        stages = -stages
+    M1, M2, M3 = stages.reshape(3, K, d, d)
+    hk = h[:, None, None]
+    hh = half[:, None, None]
+    eye = np.eye(d)
+    K2 = M2 @ (eye + hh * M1)
+    K3 = M2 @ (eye + hh * K2)
+    K4 = M3 @ (eye + hk * K3)
+    E = eye + (hk / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+    Y0 = y0.reshape(d, -1)
+    out = np.empty((K + 1,) + Y0.shape)
+    out[0] = Y0
+    if source is None:
+        for Ek, yk, yn in zip(E, out[:-1], out[1:]):
+            np.matmul(Ek, yk, out=yn)
+    else:
+        s = np.asarray(source, dtype=float).reshape(2 * K + 1, d, -1)
+        if backward:
+            s = -s[::-1]
+        g1 = s[0:-1:2]
+        g2 = M2 @ (hh * g1) + s[1::2]
+        g3 = M2 @ (hh * g2) + s[1::2]
+        g4 = M3 @ (hk * g3) + s[2::2]
+        f = (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        for Ek, fk, yk, yn in zip(E, f, out[:-1], out[1:]):
+            np.matmul(Ek, yk, out=yn)
+            yn += fk
+
+    path = out.reshape((K + 1,) + y0.shape)
+    bad = ~np.isfinite(out[1:].reshape(K, -1)).all(axis=1)
+    if bad.any():
+        index = int(np.argmax(bad)) + 1
+        path[index + 1:] = np.nan
+        if backward:
+            raise IntegrationOverflow(K - index, path[::-1].copy(),
+                                      direction="backward")
+        raise IntegrationOverflow(index, path)
+    return path[::-1].copy() if backward else path
 
 
 def stage_points(grid: np.ndarray) -> np.ndarray:
@@ -130,27 +203,21 @@ def fundamental_solution(A, s: float, grid) -> FundamentalSolution:
     """Fundamental solution associated with A_t, anchored at grid point s.
 
     Integrates forward from s to T and backward from s to 0, so samples
-    cover the whole grid.  A may be a callable or a constant matrix.
+    cover the whole grid.  A is a Schedule or a constant matrix.
     """
     grid = np.asarray(grid, dtype=float)
-    field_A = _as_field(A)
+    if not isinstance(A, Schedule):
+        A = Schedule.constant(A)
     idx = int(np.argmin(np.abs(grid - s)))
     if abs(grid[idx] - s) > 1e-9 * max(1.0, abs(grid[-1])):
         raise ValueError(f"anchor {s} is not a grid point")
-    n = np.asarray(field_A(grid[idx])).shape[0]
-    eye = np.eye(n)
-
-    def field(t, phi):
-        return field_A(t) @ phi
-
-    samples = np.empty((grid.size, n, n))
+    eye = np.eye(A.shape[0])
+    samples = np.empty((grid.size,) + eye.shape)
     samples[idx] = eye
     if idx < grid.size - 1:
-        fwd = rk4_integrate(field, eye, grid[idx:])
-        samples[idx:] = fwd
+        samples[idx:] = _rk4_linear(A, eye, grid[idx:])
     if idx > 0:
-        bwd = rk4_integrate_backward(field, eye, grid[:idx + 1])
-        samples[:idx + 1] = bwd
+        samples[:idx + 1] = _rk4_linear(A, eye, grid[:idx + 1], backward=True)
     return FundamentalSolution(float(grid[idx]), grid, samples)
 
 

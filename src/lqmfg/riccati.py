@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from .coeffs import (ProblemSpec, build_grid, csv_text, system_blocks,
                      uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
-from .odecore import (IntegrationOverflow, StageSampled,
+from .odecore import (IntegrationOverflow, StageSampled, _rk4_linear,
                       rk4_integrate_backward, stage_points)
 
 BLOW_UP_LIMIT = 1e12
@@ -149,18 +149,16 @@ def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
         Gamma_t = -[(GT, -I) Phi(T,t) (O; I)]^-1 [(GT, -I) Phi(T,t) (I; O)]
 
     with GT = QT + SeffT.  Phi(T,t) is obtained in one backward pass from
-    dPsi/dt = -Psi M(t), Psi(T) = I.  Raises BoundaryOperatorSingular at
-    the first grid time where the inverted block is ill conditioned.
+    dPsi/dt = -Psi M(t), Psi(T) = I, propagated as its transpose
+    dPsi*/dt = -M(t)* Psi*.  Raises BoundaryOperatorSingular at the first
+    grid time where the inverted block is ill conditioned.
     """
     if grid is None:
         grid = build_grid(spec, steps)
     Msched, GT = equilibrium_system(spec)
     n = spec.n
-
-    def field(t, Psi):
-        return -Psi @ Msched.at(t)
-
-    Psi = rk4_integrate_backward(field, np.eye(2 * n), grid)
+    Psi = _rk4_linear(Msched.map(lambda M: -M.T), np.eye(2 * n), grid,
+                      backward=True).transpose(0, 2, 1)
     C = np.hstack([GT, -np.eye(n)])
     CP = np.einsum("ij,kjl->kil", C, Psi)
     U = CP[:, :, :n]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqmfg import simulator
+from lqmfg import conditions, fbsolver, mftype, riccati, simulator
 from lqmfg.cli import bundled_config, main
 from lqmfg.coeffs import load_config
 from lqmfg.conditions import report_csv
@@ -188,6 +188,40 @@ def test_simulate_rejects_bad_input_before_simulating(tmp_path, capsys,
     assert err.startswith("ERROR: ") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("verb, config, flags, message", [
+    ("check", "benchmark_scalar", ["--steps", "0"], "--steps"),
+    ("solve", "benchmark_scalar", ["--steps", "0"], "--steps"),
+    ("riccati", "benchmark_scalar", ["--steps", "-5"], "--steps"),
+    ("scan", "benchmark_scalar", ["--steps", "0"], "--steps"),
+    ("mftype", "benchmark_scalar", ["--steps", "-5"], "--steps"),
+    ("compare", "benchmark_scalar", ["--steps", "0"], "--steps"),
+    ("appendix", "appendix_scalar", ["--steps", "-5"], "--steps"),
+    ("scan", "benchmark_scalar", ["--tmax", "-1", "--steps", "4"], "--tmax"),
+    ("scan", "benchmark_scalar", ["--tmax", "0"], "--tmax"),
+])
+def test_bad_steps_and_horizon_exit_1_before_solving(tmp_path, capsys,
+                                                     monkeypatch, verb,
+                                                     config, flags, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved despite bad input")
+
+    for module, name in [(fbsolver, "existence_scan"),
+                         (fbsolver, "solve_equilibrium_shooting"),
+                         (riccati, "solve_nonsymmetric_direct"),
+                         (conditions, "compute_L"),
+                         (mftype, "solve_mftype_mean"),
+                         (mftype, "compare_mfg_mftype"),
+                         (conditions, "appendix_report")]:
+        monkeypatch.setattr(module, name, unreachable)
+    code = main([verb, "--config", str(bundled_config(config)),
+                 "--out", str(tmp_path), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_csv_writers_reproduce_reference_text():

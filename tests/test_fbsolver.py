@@ -114,6 +114,12 @@ def test_scan_time_varying_falls_back_to_integration():
     assert np.max(np.abs(scan.det22[:200] - constant.det22[:200])) < 1e-8
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+def test_scan_rejects_nonpositive_horizon(spec_benchmark, t_max):
+    with pytest.raises(ValueError, match="horizon"):
+        existence_scan(spec_benchmark, t_max, 4)
+
+
 def test_shooting_raises_at_singular_horizon(spec_ex1):
     # the 1e12 condition threshold needs T0 resolved well below 1e-6:
     # det Phi22 has slope about -8.5 there, so cond grows like 1/|T - T0|

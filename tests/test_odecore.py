@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lqmfg.coeffs import uniform_grid
+from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
-                           fundamental_solution, inv_sqrt, matrix_exponential,
-                           psd_sqrt, rk4_integrate, rk4_integrate_backward,
+                           StageSampled, _rk4_linear, fundamental_solution,
+                           inv_sqrt, matrix_exponential, psd_sqrt,
+                           rk4_integrate, rk4_integrate_backward,
                            spectral_norm)
 
 
@@ -63,6 +66,93 @@ def test_rk4_overflow_reports_first_bad_index():
         rk4_integrate(lambda t, y: y * y, np.array([1.0]), grid, max_abs=1e6)
     assert 0 < exc.value.index <= 100
     assert np.all(np.isnan(exc.value.path[exc.value.index + 1:]))
+
+
+@st.composite
+def linear_problems(draw):
+    """A piecewise M (n in 1..3) with breakpoints on grid points, off the
+    grid and at a step end t_k + h as RK4 computes it, a grid, a vector or
+    matrix start value and a source on the RK4 stage points."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    K = draw(st.integers(4, 24))
+    grid = uniform_grid(draw(st.sampled_from([0.3, 1.0, 1.7])), K)
+    starts = {0.0}
+    for kind in draw(st.lists(st.sampled_from(["on", "off", "end"]),
+                              max_size=3)):
+        k = draw(st.integers(1, K - 1))
+        h = grid[k] - grid[k - 1]
+        if kind == "on":
+            starts.add(float(grid[k]))
+        elif kind == "off":
+            starts.add(float(grid[k - 1] + draw(st.floats(0.05, 0.95)) * h))
+        else:
+            starts.add(float(grid[k - 1] + h))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = Schedule.piecewise([(t, rng.normal(size=(n, n)))
+                            for t in sorted(starts)])
+    cols = draw(st.sampled_from([None, 1, 3]))
+    y0 = rng.normal(size=(n,) if cols is None else (n, cols))
+    source = rng.normal(size=(2 * K + 1,) + y0.shape)
+    return M, grid, y0, source
+
+
+def _field(M, grid, source):
+    if source is None:
+        return lambda t, y: M.at(t) @ y
+    stage = StageSampled(grid, source)
+    return lambda t, y: M.at(t) @ y + stage(t)
+
+
+def _assert_close(path, reference):
+    assert path.shape == reference.shape
+    scale = max(float(np.max(np.abs(reference))), 1.0)
+    assert float(np.max(np.abs(path - reference))) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(linear_problems(), st.booleans(), st.booleans())
+def test_linear_propagator_matches_rk4(problem, with_source, backward):
+    M, grid, y0, source = problem
+    source = source if with_source else None
+    integrate = rk4_integrate_backward if backward else rk4_integrate
+    reference = integrate(_field(M, grid, source), y0, grid)
+    _assert_close(_rk4_linear(M, y0, grid, source, backward=backward),
+                  reference)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(linear_problems())
+def test_linear_propagator_left_multiplied_form(problem):
+    # dPsi/dt = -Psi M, Psi(T) = I, propagated as its transpose
+    M, grid, _, _ = problem
+    eye = np.eye(M.shape[0])
+    reference = rk4_integrate_backward(lambda t, P: -P @ M.at(t), eye, grid)
+    Psi = _rk4_linear(M.map(lambda A: -A.T), eye, grid, backward=True)
+    _assert_close(Psi.transpose(0, 2, 1), reference)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(linear_problems(), st.booleans(), st.data())
+def test_linear_propagator_overflow_index_matches_rk4(problem, backward,
+                                                      data):
+    M, grid, y0, source = problem
+    j = data.draw(st.integers(0, source.shape[0] - 1))
+    source[j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    integrate = rk4_integrate_backward if backward else rk4_integrate
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationOverflow) as ref:
+            integrate(_field(M, grid, source), y0, grid)
+        with pytest.raises(IntegrationOverflow) as new:
+            _rk4_linear(M, y0, grid, source, backward=backward)
+    index = new.value.index
+    assert index == ref.value.index
+    assert new.value.direction == ref.value.direction
+    steps = np.arange(grid.size)
+    assert np.all(np.isnan(
+        new.value.path[steps < index if backward else steps > index]))
+    finite = np.isfinite(ref.value.path)
+    assert np.array_equal(np.isfinite(new.value.path), finite)
+    _assert_close(new.value.path[finite], ref.value.path[finite])
 
 
 def test_fundamental_solution_zero_field_is_identity():
