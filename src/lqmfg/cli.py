@@ -156,7 +156,7 @@ def _cmd_riccati(args, out: Path) -> int:
     if direct.blow_up is not None:
         print(f"riccati: direct integration blew up at grid index "
               f"{direct.blow_up} (t={grid[direct.blow_up]:g})")
-    if spec.n == 1 and all(s.is_constant for s in spec.schedules().values()):
+    if spec.n == 1 and spec.is_constant:
         blocks = system_blocks(spec)
         closed = riccati.solve_1d_closed_form(
             a=float(spec.A.at(0)[0, 0]), abar=float(spec.Abar.at(0)[0, 0]),
@@ -178,9 +178,8 @@ def _cmd_check(args, out: Path) -> int:
     main = conditions.compute_mainthm_norms(spec, grid)
     main.L = L
     main.verdicts["small_time_L"] = conditions._strict_less_one(L)
-    constant = all(s.is_constant for s in spec.schedules().values())
     ric = conditions.check_riccati_solvable(
-        spec, T0=None if constant else spec.T, steps=steps)
+        spec, T0=None if spec.is_constant else spec.T, steps=steps)
     for name, verdict in ric.verdicts.items():
         main.verdicts[name] = verdict
 
@@ -221,7 +220,7 @@ def _cmd_compare(args, out: Path) -> int:
     spec = _load_validated(args)
     if spec.n != 1 or spec.m != 1:
         raise ConfigError("compare needs a scalar (n = m = 1) config")
-    if not all(s.is_constant for s in spec.schedules().values()):
+    if not spec.is_constant:
         raise ConfigError("compare needs constant coefficients")
     steps = _steps(args, 2000)
     res = mftype.compare_mfg_mftype(

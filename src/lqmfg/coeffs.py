@@ -149,7 +149,8 @@ def build_grid(spec: "ProblemSpec", steps: int) -> np.ndarray:
 
 
 def _symmetrized(name: str, M: np.ndarray) -> np.ndarray:
-    skew = float(np.max(np.abs(M - M.T))) if M.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf: `validate` reports it
+        skew = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if skew > SYM_TOL:
         warnings.warn(
             f"{name} is asymmetric by {skew:.3e}; symmetrizing (M+M^T)/2",
@@ -202,6 +203,11 @@ class ProblemSpec:
                 for name in ("A", "Abar", "B", "sigma", "Q", "Qbar", "R", "S")}
 
     @property
+    def is_constant(self) -> bool:
+        """Every coefficient schedule is constant in time."""
+        return all(s.is_constant for s in self.schedules().values())
+
+    @property
     def terminal_effective_S(self) -> np.ndarray:
         """S_T^eff = QbarT (I - ST)."""
         return self.QbarT @ (np.eye(self.n) - self.ST)
@@ -245,10 +251,10 @@ def validate(spec: ProblemSpec, grid: np.ndarray | None = None) -> ValidationRep
     if spec.n < 1 or spec.m < 1:
         v.append(f"dimensions must be positive, got n={spec.n}, m={spec.m}")
         return report
-    if not spec.T > 0:
-        v.append(f"horizon T must be positive, got {spec.T}")
-    if not spec.delta > 0:
-        v.append(f"delta must be positive, got {spec.delta}")
+    if not 0 < spec.T < np.inf:
+        v.append(f"horizon T must be positive and finite, got {spec.T}")
+    if not 0 < spec.delta < np.inf:
+        v.append(f"delta must be positive and finite, got {spec.delta}")
 
     dims = {"n": spec.n, "m": spec.m}
     for name, (r, c) in _EXPECTED_SHAPES.items():
@@ -262,6 +268,9 @@ def validate(spec: ProblemSpec, grid: np.ndarray | None = None) -> ValidationRep
             v.append(f"{name} has shape {got}, expected {(spec.n, spec.n)}")
     if spec.x0_mean.shape != (spec.n,):
         v.append(f"x0_mean has length {spec.x0_mean.size}, expected n={spec.n}")
+    for name in ("QT", "QbarT", "ST", "x0_mean"):
+        if not np.all(np.isfinite(getattr(spec, name))):
+            v.append(f"{name} contains non-finite entries")
 
     for name, sched in spec.schedules().items():
         starts = [t for t, _ in sched.values]

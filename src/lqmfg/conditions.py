@@ -22,13 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import trapezoid
-from scipy.interpolate import CubicSpline
 
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
 from .odecore import (StageSampled, _rk4_linear, inv_sqrt, psd_sqrt,
                       rk4_integrate, rk4_integrate_backward, spectral_norm,
-                      spectral_norms, stage_points)
+                      spectral_norms, stage_values)
 
 BORDERLINE_TOL = 1e-9
 PHI_BLOCK = 64  # times per batch of products normed in _phi_weighted_norm
@@ -263,7 +262,7 @@ def check_riccati_solvable(spec: ProblemSpec, T0: float | None = None,
     constant-coefficient spec.
     """
     if T0 is None:
-        if not all(s.is_constant for s in spec.schedules().values()):
+        if not spec.is_constant:
             raise ValueError("the T0-free form of the criterion needs "
                              "constant coefficients; pass T0 explicitly")
         horizon = spec.T
@@ -360,7 +359,7 @@ def appendix_feedback_riccati(p: AppendixParams,
     elif callable(zbar):
         z_fn = zbar
     else:
-        z_fn = CubicSpline(grid, np.asarray(zbar, float))
+        z_fn = StageSampled(grid, stage_values(grid, zbar))
 
     def field(t, y):
         pi, s = y
@@ -484,9 +483,8 @@ def appendix_adjoint_route(p: AppendixParams,
         closed_err = float(np.max(np.abs(P - P_closed)))
         closed_ok = closed_err <= 1e-7
 
-    stages = stage_points(grid)
-    P_fn = StageSampled(grid, CubicSpline(grid, P)(stages))
-    rho_fn = StageSampled(grid, CubicSpline(grid, rho)(stages))
+    P_fn = StageSampled(grid, stage_values(grid, P))
+    rho_fn = StageSampled(grid, stage_values(grid, rho))
 
     def zfield(t, z):
         return (p.a + p.alpha) * z - k2 * (P_fn(t) * z + rho_fn(t))

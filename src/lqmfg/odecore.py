@@ -3,18 +3,18 @@
 Two forms of the same classical fixed-step RK4 scheme:
 
 * `rk4_integrate` steps any right-hand side field(t, y) by four Python
-  field calls per step; the nonlinear Riccati equations and the scalar
-  appendix routes use it.
-* `_rk4_linear` steps a linear system y' = M(t) y + s(t) with a
-  piecewise-constant `Schedule` M by exact per-step maps
-  y_{k+1} = E_k y_k + f_k, all built in batched numpy before one matmul
-  per step.  Every linear solve of the package uses it: shooting,
-  fundamental solutions, the Radon backward pass and |||phi|||.
+  field calls per step; the direct Gamma route and the scalar appendix
+  routes use it.
+* `_step_maps` builds the exact per-step maps y_{k+1} = E_k y_k + f_k of
+  a linear system y' = M(t) y + s(t) with a piecewise-constant `Schedule`
+  M in batched numpy.  Every linear object of the package comes from
+  them: shooting, fundamental solutions and the scans, the Radon backward
+  pass, |||phi||| and the symmetric Riccati pair.
 
-Also here: fundamental solutions of dphi/dt = A_t phi, matrix
-exponentials, principal PSD square roots, and spectral norms.  Backward
-problems are integrated by the substitution tau = T - t, so each form has
-a single forward stepping loop.
+Also here: fundamental solutions of dphi/dt = A_t phi, stage values,
+matrix exponentials, principal PSD square roots, and spectral norms.
+Backward problems are integrated by the substitution tau = T - t, so each
+form has a single forward stepping loop.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.interpolate import CubicSpline
 
 from .coeffs import Schedule, check_uniform_grid, sample
 
@@ -96,9 +97,9 @@ def rk4_integrate_backward(field, yT, grid, max_abs: float | None = None) -> np.
     return rev[::-1].copy()
 
 
-def _rk4_linear(M: Schedule, y0, grid, source=None,
-                backward: bool = False) -> np.ndarray:
-    """RK4 path of y' = M(t) y + s(t) on a uniform grid, by per-step maps.
+def _step_maps(M: Schedule, grid, source=None,
+               backward: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-step maps of the RK4 scheme for y' = M(t) y + s(t) on a uniform grid.
 
     The scheme is `rk4_integrate` on field(t, y) = M.at(t) @ y + s(t),
     rearranged (equal up to rounding) as y_{k+1} = E_k y_k + f_k with
@@ -109,18 +110,17 @@ def _rk4_linear(M: Schedule, y0, grid, source=None,
     where M1, M2, M3 are M at the stage times t_k, t_k + h/2, t_k + h (the
     floats `rk4_integrate` evaluates, looked up right-continuously), and
     f_k is the same stage algebra applied to the stage sources.  source,
-    if given, holds s on stage_points(grid), shape (2K+1,) + y0.shape.
-    With backward=True the path runs from y(T) = y0 as in
-    `rk4_integrate_backward`.  Returns the path, shape (K+1,) + y0.shape;
-    raises IntegrationOverflow at the first non-finite grid value.
+    if given, holds s on stage_points(grid), shape (2K+1, d[, c]).  With
+    backward=True the maps step tau = T - t as `rk4_integrate_backward`
+    does: E_j, f_j take y(t_{K-j}) to y(t_{K-j-1}).  Returns E (K, d, d)
+    and f (K, d, c), or None without a source.
     """
     grid = np.asarray(grid, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     T = grid[-1]
     taus = T - grid[::-1] if backward else grid
     check_uniform_grid(taus)
     K = taus.size - 1
-    d = y0.shape[0]
+    d = M.shape[0]
     h = taus[1:] - taus[:-1]
     half = h / 2.0
     stage_t = np.concatenate([taus[:-1], taus[:-1] + half, taus[:-1] + h])
@@ -135,22 +135,33 @@ def _rk4_linear(M: Schedule, y0, grid, source=None,
     K3 = M2 @ (eye + hh * K2)
     K4 = M3 @ (eye + hk * K3)
     E = eye + (hk / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
+    if source is None:
+        return E, None
+    s = np.asarray(source, dtype=float).reshape(2 * K + 1, d, -1)
+    if backward:
+        s = -s[::-1]
+    g1 = s[0:-1:2]
+    g2 = M2 @ (hh * g1) + s[1::2]
+    g3 = M2 @ (hh * g2) + s[1::2]
+    g4 = M3 @ (hk * g3) + s[2::2]
+    return E, (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
 
-    Y0 = y0.reshape(d, -1)
+
+def _rk4_linear(M: Schedule, y0, grid, source=None,
+                backward: bool = False) -> np.ndarray:
+    """RK4 path of y' = M(t) y + s(t) by `_step_maps`, from y(0) = y0 (or
+    y(T) = y0 with backward=True); shape (K+1,) + y0.shape.  Raises
+    IntegrationOverflow at the first non-finite grid value."""
+    y0 = np.asarray(y0, dtype=float)
+    E, f = _step_maps(M, grid, source, backward)
+    K = E.shape[0]
+    Y0 = y0.reshape(y0.shape[0], -1)
     out = np.empty((K + 1,) + Y0.shape)
     out[0] = Y0
-    if source is None:
+    if f is None:
         for Ek, yk, yn in zip(E, out[:-1], out[1:]):
             np.matmul(Ek, yk, out=yn)
     else:
-        s = np.asarray(source, dtype=float).reshape(2 * K + 1, d, -1)
-        if backward:
-            s = -s[::-1]
-        g1 = s[0:-1:2]
-        g2 = M2 @ (hh * g1) + s[1::2]
-        g3 = M2 @ (hh * g2) + s[1::2]
-        g4 = M3 @ (hk * g3) + s[2::2]
-        f = (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
         for Ek, fk, yk, yn in zip(E, f, out[:-1], out[1:]):
             np.matmul(Ek, yk, out=yn)
             yn += fk
@@ -171,6 +182,11 @@ def stage_points(grid: np.ndarray) -> np.ndarray:
     """Grid points interleaved with midpoints: every time RK4 stages touch."""
     grid = np.asarray(grid, dtype=float)
     return np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
+
+
+def stage_values(grid: np.ndarray, values) -> np.ndarray:
+    """Cubic-spline values on stage_points(grid) of a path sampled on grid."""
+    return CubicSpline(grid, values, axis=0)(stage_points(grid))
 
 
 class StageSampled:

@@ -3,7 +3,8 @@
 Three routes to the matrix paths:
 
 * the symmetric control Riccati pair (Xi, zeta) of the single-agent
-  problem with a frozen mean path z,
+  problem with a frozen mean path z, by a backward sweep of the RK4 step
+  maps of its linear Hamiltonian system,
 * the nonsymmetric equation for Gamma in the ansatz eta = Gamma xi,
   solved either through blocks of the fundamental solution (Radon's
   lemma) or by direct backward integration with blow-up detection,
@@ -19,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .coeffs import (ProblemSpec, build_grid, csv_text, system_blocks,
-                     uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
+                     system_blocks, uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
-from .odecore import (IntegrationOverflow, StageSampled, _rk4_linear,
-                      rk4_integrate_backward, stage_points)
+from .odecore import (IntegrationOverflow, _rk4_linear, _step_maps,
+                      rk4_integrate_backward, stage_points, stage_values)
 
 BLOW_UP_LIMIT = 1e12
 
@@ -66,53 +66,39 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
                     z=None, steps: int = 2000) -> RiccatiPath:
     """Symmetric Riccati pair of the auxiliary control problem.
 
-    Xi solves the standard Riccati equation with running weight Q + Qbar
-    and terminal QT + QbarT.  Given a frozen mean path z (array on the
-    grid or a callable), zeta solves the linear backward equation with
-    source (Qbar_t S_t - Xi_t Abar_t) z_t and terminal -QbarT ST z(T);
-    the two are integrated jointly so zeta sees Xi at the RK4 stage points.
+    Xi (running weight Q + Qbar, terminal QT + QbarT) and, given a frozen
+    mean path z on the grid, zeta form the decoupling field p = Xi x + zeta
+    of the linear Hamiltonian system d/dt (x; p) = H (x; p) + (Abar z;
+    Qbar S z), H = [[A, -B R^-1 B*], [-(Q+Qbar), -A*]], with
+    p(T) = (QT + QbarT) x(T) - QbarT ST z(T).  One sweep from T of its
+    backward RK4 step maps (x; p)(t_k) = B_k (x; p)(t_{k+1}) + g_k gives
+    Xi_k = W2 W1^-1 with (W1; W2) = B_k (I; Xi_{k+1}) and
+    zeta_k = v2 - Xi_k v1 with (v1; v2) = B_k (0; zeta_{k+1}) + g_k.
     """
     if grid is None:
         grid = build_grid(spec, steps)
-    n = spec.n
-    BRB = system_blocks(spec).BRB.at
-
-    if z is None:
-        def field(t, Xi):
-            A = spec.A.at(t)
-            return (-Xi @ A - A.T @ Xi + Xi @ BRB(t) @ Xi
-                    - spec.Q.at(t) - spec.Qbar.at(t))
-
-        XiT = spec.QT + spec.QbarT
-        path = rk4_integrate_backward(field, XiT, grid)
-        return RiccatiPath(grid=grid, gamma=path)
-
-    if callable(z):
-        z_fn = z
-    else:
-        stages = stage_points(grid)
-        z_stage = CubicSpline(grid, np.asarray(z, float), axis=0)(stages)
-        z_fn = StageSampled(grid, z_stage)
-    zT = np.asarray(z_fn(grid[-1]), float).reshape(-1)
-
-    def field(t, y):
-        Xi = y[:, :n]
-        zeta = y[:, n]
-        A = spec.A.at(t)
-        G = BRB(t)
-        dXi = -Xi @ A - A.T @ Xi + Xi @ G @ Xi - spec.Q.at(t) - spec.Qbar.at(t)
-        dzeta = (-A.T @ zeta + Xi @ G @ zeta
-                 + (spec.Qbar.at(t) @ spec.S.at(t) - Xi @ spec.Abar.at(t)) @ z_fn(t))
-        out = np.empty_like(y)
-        out[:, :n] = dXi
-        out[:, n] = dzeta
-        return out
-
-    yT = np.zeros((n, n + 1))
-    yT[:, :n] = spec.QT + spec.QbarT
-    yT[:, n] = -spec.QbarT @ spec.ST @ zT
-    path = rk4_integrate_backward(field, yT, grid)
-    return RiccatiPath(grid=grid, gamma=path[:, :, :n], aux=path[:, :, n])
+    n, K = spec.n, grid.size - 1
+    H = Schedule.combine(
+        lambda A, BRB, Q, Qbar: np.block([[A, -BRB], [-(Q + Qbar), -A.T]]),
+        spec.A, system_blocks(spec).BRB, spec.Q, spec.Qbar)
+    Xi = np.empty((K + 1, n, n))
+    zeta = np.zeros((K + 1, n))
+    Xi[K] = spec.QT + spec.QbarT
+    source = np.zeros((2 * K + 1, 2 * n))
+    if z is not None:
+        drive = Schedule.combine(lambda Ab, Qb, S: np.vstack([Ab, Qb @ S]),
+                                 spec.Abar, spec.Qbar, spec.S)
+        source = np.einsum("kij,kj->ki", sample(drive, stage_points(grid)),
+                           stage_values(grid, z))
+        zeta[K] = -spec.QbarT @ spec.ST @ z[-1]
+    maps, shifts = _step_maps(H, grid, source, backward=True)
+    for k, Bk, g in zip(range(K - 1, -1, -1), maps, shifts[:, :, 0]):
+        W = Bk[:, :n] + Bk[:, n:] @ Xi[k + 1]
+        Xi[k] = np.linalg.solve(W[:n].T, W[n:].T).T
+        v = Bk[:, n:] @ zeta[k + 1] + g
+        zeta[k] = v[n:] - Xi[k] @ v[:n]
+    Xi = (Xi + Xi.transpose(0, 2, 1)) / 2.0
+    return RiccatiPath(grid=grid, gamma=Xi, aux=None if z is None else zeta)
 
 
 def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,

@@ -48,6 +48,33 @@ def test_validate_rejects_indefinite_Q(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("\nT = 1.0\n", "\nT = inf\n", "horizon T must be positive and finite"),
+    ("delta = 0.5", "delta = inf", "delta must be positive and finite"),
+    ("x0_mean = 1.0", "x0_mean = nan", "x0_mean contains non-finite"),
+    ("[QT]\nconst = 0.5", "[QT]\nconst = inf", "QT contains non-finite"),
+    ("[QbarT]\nconst = 0.0", "[QbarT]\nconst = nan",
+     "QbarT contains non-finite"),
+    ("[ST]\nconst = 1.0", "[ST]\nconst = nan", "ST contains non-finite"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_scalars_and_terminal_data_exit_1(tmp_path, capsys, old,
+                                                     new, message):
+    source = bundled_config("benchmark_scalar").read_text()
+    assert old in source
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(source.replace(old, new))
+    for verb in ("validate", "check", "solve", "riccati", "scan", "mftype",
+                 "compare", "simulate"):
+        code = main([verb, "--config", str(bad),
+                     "--out", str(tmp_path / verb)])
+        assert code == 1, verb
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and message in err, (verb, err)
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / verb).exists()
+
+
 def test_validate_accepts_bundled_configs(tmp_path):
     for name in ("counterexample_2d_1", "counterexample_2d_2", "classical_lq",
                  "benchmark_scalar"):

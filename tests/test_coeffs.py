@@ -49,6 +49,31 @@ def test_validate_reports_dimension_mismatch():
     assert any("A has shape" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("field, kwargs, message", [
+    ("T", dict(T=float("inf")), "horizon T must be positive and finite"),
+    ("delta", dict(delta=float("inf")), "delta must be positive and finite"),
+    ("x0_mean", dict(x0=float("nan")), "x0_mean contains non-finite"),
+    ("QT", dict(qT=float("inf")), "QT contains non-finite"),
+    ("QbarT", dict(qbarT=float("nan")), "QbarT contains non-finite"),
+    ("ST", dict(sT=float("nan")), "ST contains non-finite"),
+])
+def test_validate_flags_non_finite_scalars_and_terminal_data(field, kwargs,
+                                                             message):
+    report = validate(scalar_spec(**kwargs))
+    assert [v for v in report.violations if message in v], report.violations
+
+
+def test_spec_is_constant_only_when_every_schedule_is():
+    spec = scalar_spec()
+    assert spec.is_constant
+    switched = ProblemSpec(
+        n=1, m=1, T=1.0, A=spec.A, Abar=spec.Abar, B=spec.B,
+        sigma=Schedule.piecewise([(0.0, [[0.1]]), (0.5, [[0.2]])]),
+        Q=spec.Q, Qbar=spec.Qbar, R=spec.R, S=spec.S, QT=spec.QT,
+        QbarT=spec.QbarT, ST=spec.ST, x0_mean=spec.x0_mean)
+    assert not switched.is_constant
+
+
 def test_effective_S_with_S_identity_is_zero():
     spec = scalar_spec(qbar=3.0, s=1.0, sT=1.0, qbarT=2.0, qT=0.5)
     blocks = system_blocks(spec)

@@ -9,10 +9,30 @@ from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix,
                             fixed_point_iterate, q_weighted_norm,
                             refine_singular_horizon,
                             solve_equilibrium_shooting)
-from lqmfg.odecore import rk4_integrate
+from lqmfg.odecore import matrix_exponential, rk4_integrate
 from lqmfg.riccati import solve_symmetric
 
 T0_BRACKET = (0.83, 0.86)
+
+
+def _piecewise_2d_spec() -> ProblemSpec:
+    """2-d spec whose A, Q and Qbar switch at t = 0.25 and t = 0.6."""
+    from lqmfg.coeffs import Schedule
+
+    c = Schedule.constant
+    return ProblemSpec(
+        n=2, m=2, T=1.0,
+        A=Schedule.piecewise([(0.0, [[0.2, 0.5], [-0.3, 0.1]]),
+                              (0.25, [[-0.4, 0.2], [0.6, 0.3]]),
+                              (0.6, [[0.1, -0.5], [0.2, -0.2]])]),
+        Abar=c([[0.1, 0.0], [0.05, -0.1]]), B=c(np.eye(2)),
+        sigma=c(0.2 * np.eye(2)),
+        Q=Schedule.piecewise([(0.0, np.eye(2)), (0.6, [[2.0, 0.3], [0.3, 1.0]])]),
+        Qbar=Schedule.piecewise([(0.0, 0.1 * np.eye(2)),
+                                 (0.25, [[0.2, 0.05], [0.05, 0.1]])]),
+        R=c(np.eye(2)), S=c(0.5 * np.eye(2)), QT=0.5 * np.eye(2),
+        QbarT=np.zeros((2, 2)), ST=np.eye(2), x0_mean=np.array([1.0, -0.5]),
+        delta=0.25)
 
 
 def with_horizon(spec: ProblemSpec, T: float) -> ProblemSpec:
@@ -86,6 +106,9 @@ def test_scan_locates_second_example_horizon(spec_ex2):
     assert 0.9 < lo < hi < 1.0
     T0 = refine_singular_horizon(spec_ex2, (lo, hi), tol=1e-9)
     assert lo <= T0 <= hi
+    # a bracket may start at t = 0, where Phi_0 = I
+    assert abs(refine_singular_horizon(spec_ex2, (0.0, hi), tol=1e-9)
+               - T0) < 1e-8
 
 
 def test_scan_zero_coefficients_identity():
@@ -93,6 +116,16 @@ def test_scan_zero_coefficients_identity():
     scan = existence_scan(spec, 1.0, 100)
     assert np.all(scan.det22 == 1.0)
     assert not scan.sign_change_brackets
+
+
+def test_scan_constant_matches_matrix_exponential(spec_ex1, spec_benchmark):
+    for spec in (spec_ex1, spec_benchmark):
+        scan = existence_scan(spec, 1.0, 1000)
+        M = equilibrium_system(spec)[0].at(0.0)
+        n = spec.n
+        Phi = np.stack([matrix_exponential(M * t) for t in scan.grid])
+        assert np.max(np.abs(scan.det22 - np.linalg.det(Phi[:, n:, n:]))) < 1e-9
+        assert np.max(np.abs(scan.det21 - np.linalg.det(Phi[:, n:, :n]))) < 1e-9
 
 
 def test_scan_time_varying_falls_back_to_integration():
@@ -161,6 +194,13 @@ def test_ode_residual_scales_fourth_order(spec_benchmark):
     res_coarse = solve_equilibrium_shooting(spec_benchmark, steps=250).ode_residual
     res_fine = solve_equilibrium_shooting(spec_benchmark, steps=500).ode_residual
     assert res_fine <= res_coarse / 8.0
+    # piecewise: stencils touching a breakpoint are skipped, so the
+    # residual converges instead of measuring the coefficient jump
+    spec = _piecewise_2d_spec()
+    coarse = solve_equilibrium_shooting(spec, steps=200).ode_residual
+    fine = solve_equilibrium_shooting(spec, steps=400).ode_residual
+    assert 0.0 < fine <= coarse / 8.0
+    assert fine < 1e-8
 
 
 def test_boundary_identity_on_success(spec_benchmark):

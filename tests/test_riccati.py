@@ -217,3 +217,109 @@ def test_riccati_csv_shape(spec_benchmark):
     lines = text.strip().split("\n")
     assert lines[0] == "t,gamma_11,zeta_1"
     assert len(lines) == 12
+
+
+def _pair_oracle(spec, grid, z=None):
+    """(Xi, zeta) by backward RK4 on the nonlinear Riccati field and the
+    zeta equation zeta' = -A* zeta + Xi G zeta + (Qbar S - Xi Abar) z, with
+    z read at the RK4 stage points: an independent route to the pair that
+    `solve_symmetric` takes from the Hamiltonian step maps."""
+    from lqmfg.coeffs import system_blocks
+    from lqmfg.odecore import (StageSampled, rk4_integrate_backward,
+                               stage_values)
+
+    n = spec.n
+    BRB = system_blocks(spec).BRB
+    z_fn = (StageSampled(grid, stage_values(grid, z)) if z is not None
+            else lambda t: np.zeros(n))
+
+    def field(t, y):
+        Xi, zeta = y[:, :n], y[:, n]
+        A, G = spec.A.at(t), BRB.at(t)
+        out = np.empty_like(y)
+        out[:, :n] = (-Xi @ A - A.T @ Xi + Xi @ G @ Xi
+                      - spec.Q.at(t) - spec.Qbar.at(t))
+        out[:, n] = (-A.T @ zeta + Xi @ G @ zeta
+                     + (spec.Qbar.at(t) @ spec.S.at(t)
+                        - Xi @ spec.Abar.at(t)) @ z_fn(t))
+        return out
+
+    yT = np.zeros((n, n + 1))
+    yT[:, :n] = spec.QT + spec.QbarT
+    if z is not None:
+        yT[:, n] = -spec.QbarT @ spec.ST @ z[-1]
+    path = rk4_integrate_backward(field, yT, grid)
+    return path[:, :, :n], path[:, :, n]
+
+
+def _random_coupled_spec(rng, n, T=1.0, breaks=()):
+    """Random spec with mean-field coupling (Abar, Qbar, S, QbarT, ST all
+    nonzero); A, Q and Qbar switch at the given breakpoints."""
+    from lqmfg.coeffs import Schedule
+
+    def psd(scale=1.0, floor=0.0):
+        W = rng.normal(size=(n, n))
+        return scale * (W @ W.T) / n + floor * np.eye(n)
+
+    def sched(draw):
+        return Schedule.piecewise([(t, draw()) for t in (0.0, *breaks)])
+
+    const = Schedule.constant
+    return ProblemSpec(
+        n=n, m=n, T=T,
+        A=sched(lambda: rng.normal(scale=0.5, size=(n, n))),
+        Abar=const(rng.normal(scale=0.3, size=(n, n))),
+        B=const(np.eye(n) + rng.normal(scale=0.2, size=(n, n))),
+        sigma=const(0.2 * np.eye(n)),
+        Q=sched(lambda: psd(floor=0.2)), Qbar=sched(lambda: psd(scale=0.3)),
+        R=const(psd(scale=0.5, floor=0.5)),
+        S=const(rng.normal(scale=0.5, size=(n, n))),
+        QT=psd(scale=0.5), QbarT=psd(scale=0.3),
+        ST=rng.normal(scale=0.5, size=(n, n)),
+        x0_mean=rng.normal(size=n), delta=0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_pair_matches_nonlinear_oracle_constant(n):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(3):
+        spec = _random_coupled_spec(rng, n)
+        grid = uniform_grid(spec.T, 400)
+        z = np.stack([np.cos((i + 1) * grid) + 0.3 * grid for i in range(n)],
+                     axis=1)
+        Xi_ref, zeta_ref = _pair_oracle(spec, grid, z)
+        pair = solve_symmetric(spec, grid, z=z)
+        assert np.max(np.abs(pair.gamma - Xi_ref)) < 1e-8
+        assert np.max(np.abs(pair.aux - zeta_ref)) < 1e-8
+        alone = solve_symmetric(spec, grid)
+        assert alone.aux is None
+        assert np.array_equal(alone.gamma, pair.gamma)
+
+
+def test_symmetric_pair_matches_nonlinear_oracle_piecewise():
+    rng = np.random.default_rng(510)
+    for breaks in [(0.25,), (0.3, 0.6), (0.125, 0.5, 0.75)]:
+        spec = _random_coupled_spec(rng, 2, breaks=breaks)
+        grid = build_grid(spec, 400)
+        z = np.stack([np.sin(grid), 1.0 - grid], axis=1)
+        Xi_ref, _ = _pair_oracle(spec, grid, z)
+        pair = solve_symmetric(spec, grid, z=z)
+        assert np.max(np.abs(pair.gamma - Xi_ref)) < 1e-6
+
+
+def test_symmetric_long_horizon_classical():
+    # at T = 20 the sweep stays finite, symmetric and PSD, and equals the
+    # nonlinear oracle
+    spec = random_classical_spec(np.random.default_rng(3))
+    assert spec.n >= 3
+    spec = ProblemSpec(n=spec.n, m=spec.m, T=20.0, A=spec.A, Abar=spec.Abar,
+                       B=spec.B, sigma=spec.sigma, Q=spec.Q, Qbar=spec.Qbar,
+                       R=spec.R, S=spec.S, QT=spec.QT, QbarT=spec.QbarT,
+                       ST=spec.ST, x0_mean=spec.x0_mean, delta=spec.delta)
+    grid = uniform_grid(20.0, 8000)
+    Xi = solve_symmetric(spec, grid).gamma
+    assert np.all(np.isfinite(Xi))
+    assert np.array_equal(Xi, Xi.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(Xi).min() > -1e-9
+    Xi_ref, _ = _pair_oracle(spec, grid)
+    assert np.max(np.abs(Xi - Xi_ref)) < 1e-8 * (1.0 + np.max(np.abs(Xi)))
