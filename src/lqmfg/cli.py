@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import conditions, fbsolver, mftype, riccati, simulator
-from .coeffs import (ConfigError, ProblemSpec, build_grid, load_config,
-                     system_blocks, validate, _parse_matrix)
+from .coeffs import (ConfigError, ProblemSpec, build_grid, config_sections,
+                     load_config, system_blocks, validate, _parse_matrix)
 from .conditions import AppendixParams
 from .fbsolver import NoConvergence, SingularShootingMatrix
 from .riccati import BoundaryOperatorSingular
@@ -35,29 +35,9 @@ def bundled_config(name: str) -> Path:
         return Path(path)
 
 
-def _read_sections(path) -> dict[str, list[tuple[int, str, str]]]:
-    """Raw (lineno, key, value) triples per section, for CLI-level extras
-    that are not part of the problem data model."""
-    sections: dict[str, list[tuple[int, str, str]]] = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip()
-                sections.setdefault(current, [])
-                continue
-            if current is None or "=" not in line:
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            sections[current].append((lineno, key, value))
-    return sections
-
-
 def _parse_appendix(path) -> AppendixParams:
-    rows = _read_sections(path).get("appendix")
+    text = Path(path).read_text(encoding="utf-8")
+    rows = config_sections(text).get("appendix")
     if rows is None:
         raise ConfigError("appendix verb needs an [appendix] section")
     values = {key: value for _, key, value in rows}
@@ -76,7 +56,8 @@ def _parse_appendix(path) -> AppendixParams:
 
 
 def _x0_cov(path, n: int) -> np.ndarray:
-    for lineno, key, value in _read_sections(path).get("problem", []):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, key, value in config_sections(text).get("problem", []):
         if key == "x0_cov":
             return _parse_matrix(value, lineno)
     return np.zeros((n, n))

@@ -387,6 +387,33 @@ def _parse_vector(text: str, line: int) -> np.ndarray:
         raise ConfigError(f"bad vector entry: {exc}", line) from None
 
 
+def config_sections(text: str, known: tuple[str, ...] | None = None
+                    ) -> dict[str, list[tuple[int, str, str]]]:
+    """The (lineno, key, value) entries of each `[section]` of a config,
+    in file order.  `#` starts a comment.  Raises ConfigError, with the
+    line number, for a section outside `known` (when given), content
+    before any header, or a line that is not `key = value`."""
+    sections: dict[str, list[tuple[int, str, str]]] = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if known is not None and section not in known:
+                raise ConfigError(f"unknown section [{section}]", lineno)
+            sections.setdefault(section, [])
+            continue
+        if section is None:
+            raise ConfigError("content before any [section] header", lineno)
+        if "=" not in line:
+            raise ConfigError("expected 'key = value'", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        sections[section].append((lineno, key, value))
+    return sections
+
+
 def parse_config(text: str) -> ProblemSpec:
     """Parse a problem config into a ProblemSpec.
 
@@ -398,24 +425,12 @@ def parse_config(text: str) -> ProblemSpec:
     problem: dict[str, str] = {}
     pieces: dict[str, list[tuple[float, np.ndarray, int]]] = {}
     consts: dict[str, tuple[np.ndarray, int]] = {}
-    section = None
+    sections = config_sections(
+        text, ("problem",) + _MATRIX_SECTIONS + _TERMINAL_SECTIONS)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            known = ("problem",) + _MATRIX_SECTIONS + _TERMINAL_SECTIONS
-            if section not in known:
-                raise ConfigError(f"unknown section [{section}]", lineno)
-            continue
-        if section is None:
-            raise ConfigError("content before any [section] header", lineno)
-        if "=" not in line:
-            raise ConfigError("expected 'key = value'", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-
+    for section, lineno, key, value in (
+            (section, *row) for section, rows in sections.items()
+            for row in rows):
         if section == "problem":
             problem[key] = value
         elif key == "const":

@@ -10,7 +10,9 @@ Quantities computed here:
 * the scalar appendix model, solved along two routes: the feedback
   route (value-function Riccati plus a contraction on the frozen mean)
   and the adjoint route with its gamma <= 1 condition, for side-by-side
-  comparison of the two sufficient conditions.
+  comparison of the two sufficient conditions.  Both Riccati paths, and
+  the adjoint route's mean path, come from the backward Riccati sweep
+  `odecore._sweep` of a 2 x 2 linear Hamiltonian system.
 
 All suprema are taken over the sample grid; strict "< 1" verdicts carry a
 borderline flag when the value is within 1e-9 of 1.
@@ -21,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
-from .odecore import (StageSampled, _rk4_linear, inv_sqrt, psd_sqrt,
-                      rk4_integrate, rk4_integrate_backward, spectral_norm,
-                      spectral_norms, stage_values)
+from .odecore import (_rk4_linear, _sweep, inv_sqrt, psd_sqrt, spectral_norm,
+                      spectral_norms)
 
 BORDERLINE_TOL = 1e-9
 PHI_BLOCK = 64  # times per batch of products normed in _phi_weighted_norm
@@ -332,58 +333,33 @@ class AppendixParams:
 
 @dataclass
 class FeedbackRiccati:
-    """Pi path, the offset path s given a frozen mean, and the propagator
-    table Phi[i, j] = Phi(t_i, t_j)."""
+    """Pi path and the propagator table Phi[i, j] = Phi(t_i, t_j)."""
 
     grid: np.ndarray
     pi: np.ndarray
-    s: np.ndarray
     phi: np.ndarray
 
 
 def appendix_feedback_riccati(p: AppendixParams,
-                              grid: np.ndarray | None = None, zbar=None,
+                              grid: np.ndarray | None = None,
                               steps: int = 2000) -> FeedbackRiccati:
     """Feedback route: the positive Riccati solution of
 
         dPi/dt + 2a Pi - (b^2/r) Pi^2 + 1 = 0,  Pi_T = 0,
 
-    the offset s for a frozen mean path zbar (default zero), and the table
+    as the decoupling p = Pi x of d/dt (x; p) = [[a, -b^2/r], [-1, -a]]
+    (x; p), by `odecore._sweep`, and the table
     Phi(t, tau) = exp(-int_tau^t (a - (b^2/r) Pi)).
     """
     if grid is None:
         grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
-    if zbar is None:
-        z_fn = lambda t: 0.0
-    elif callable(zbar):
-        z_fn = zbar
-    else:
-        z_fn = StageSampled(grid, stage_values(grid, zbar))
-
-    def field(t, y):
-        pi, s = y
-        zt = z_fn(t)
-        zstar = p.gamma * (zt + p.eta)
-        dpi = k2 * pi * pi - 2.0 * p.a * pi - 1.0
-        ds = -(p.a - k2 * pi) * s - p.alpha * pi * zt + zstar
-        return np.array([dpi, ds])
-
-    path = rk4_integrate_backward(field, np.zeros(2), grid)
-    pi = path[:, 0]
-    s = path[:, 1]
+    H = Schedule.constant([[p.a, -k2], [-1.0, -p.a]])
+    pi = _sweep(H, np.zeros((1, 1)), grid)[0][:, 0, 0]
     # F(t) = int_0^t (a - k2 Pi); Phi(t, tau) = exp(F(tau) - F(t))
-    integrand = p.a - k2 * pi
-    F = _cumtrapz(integrand, grid)
+    F = cumulative_trapezoid(p.a - k2 * pi, grid, initial=0.0)
     phi = np.exp(F[None, :] - F[:, None])   # phi[i, j] = Phi(t_i, t_j)
-    return FeedbackRiccati(grid=grid, pi=pi, s=s, phi=phi)
-
-
-def _cumtrapz(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    steps = np.diff(grid)
-    out[1:] = np.cumsum(0.5 * steps * (values[1:] + values[:-1]))
-    return out
+    return FeedbackRiccati(grid=grid, pi=pi, phi=phi)
 
 
 def appendix_feedback_condition(p: AppendixParams,
@@ -402,17 +378,18 @@ def appendix_feedback_condition(p: AppendixParams,
         grid = uniform_grid(p.T, steps)
     ric = appendix_feedback_riccati(p, grid)
     k2 = p.b ** 2 / p.r
-    F = _cumtrapz(p.a - k2 * ric.pi, grid)
+    F = cumulative_trapezoid(p.a - k2 * ric.pi, grid, initial=0.0)
     g = np.abs(p.alpha) * ric.pi + np.abs(p.gamma)
 
     # inner(s) = int_s^T Phi(s,tau) g(tau) dtau, Phi(s,tau) = e^{F(tau)-F(s)}
     weighted = np.exp(F) * g
-    head = _cumtrapz(weighted, grid)
+    head = cumulative_trapezoid(weighted, grid, initial=0.0)
     tail = head[-1] - head                     # int_s^T
     inner = np.exp(-F) * tail
     h = np.abs(p.alpha) + k2 * inner
     # outer(t) = int_0^t Phi(s,t) h(s) ds, Phi(s,t) = e^{F(t)-F(s)}
-    outer = np.exp(F) * _cumtrapz(np.exp(-F) * h, grid)
+    outer = np.exp(F) * cumulative_trapezoid(np.exp(-F) * h, grid,
+                                             initial=0.0)
     lhs = float(outer.max())
     simplified = float(abs(p.gamma) * (1.0 - np.exp(-p.b * p.T)))
     return {
@@ -451,21 +428,22 @@ def appendix_adjoint_route(p: AppendixParams,
     equation along the mean path driven by pbar = P zbar + rho.
 
     The rho equation carries the (b^2/r) P_t factor required by the
-    identification pbar = P zbar + rho.
+    identification pbar = P zbar + rho, which decouples the mean system
+
+        d/dt (zbar; pbar) = [[a+alpha, -b^2/r], [-(1-gamma), -a]]
+                            (zbar; pbar) + (0; gamma eta),
+
+    zbar(0) = 0, pbar(T) = 0.  One `odecore._sweep` of it gives P and rho,
+    and zbar by its forward pass.
     """
     if grid is None:
         grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
-
-    def field(t, y):
-        P, rho = y
-        dP = -(2.0 * p.a + p.alpha) * P + k2 * P * P - 1.0 + p.gamma
-        drho = -(p.a - k2 * P) * rho + p.gamma * p.eta
-        return np.array([dP, drho])
-
-    path = rk4_integrate_backward(field, np.zeros(2), grid)
-    P = path[:, 0]
-    rho = path[:, 1]
+    H = Schedule.constant([[p.a + p.alpha, -k2], [-(1.0 - p.gamma), -p.a]])
+    source = np.tile([0.0, p.gamma * p.eta], (2 * grid.size - 1, 1))
+    Gamma, rho, zbar = _sweep(H, np.zeros((1, 1)), grid, source,
+                              x0=np.zeros(1))
+    P, rho, zbar = Gamma[:, 0, 0], rho[:, 0], zbar[:, 0]
 
     roots = None
     closed_ok: bool | None = None
@@ -483,13 +461,6 @@ def appendix_adjoint_route(p: AppendixParams,
         closed_err = float(np.max(np.abs(P - P_closed)))
         closed_ok = closed_err <= 1e-7
 
-    P_fn = StageSampled(grid, stage_values(grid, P))
-    rho_fn = StageSampled(grid, stage_values(grid, rho))
-
-    def zfield(t, z):
-        return (p.a + p.alpha) * z - k2 * (P_fn(t) * z + rho_fn(t))
-
-    zbar = rk4_integrate(zfield, np.array(0.0), grid).reshape(-1)
     pbar = P * zbar + rho
     # 4th-order re-differencing of -dpbar/dt = a pbar + (1-gamma) zbar - gamma eta
     K = grid.size - 1

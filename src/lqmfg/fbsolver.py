@@ -25,6 +25,7 @@ from .odecore import (_rk4_linear, fundamental_solution, stage_points,
                       stage_values)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
+BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
 
 
 class SingularShootingMatrix(RuntimeError):
@@ -98,8 +99,12 @@ def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
     and the n homogeneous columns seeded by p(0) = e_i; the terminal
     condition then determines p(0) from an n x n linear system.  Returns
     (x path, p path, p0, condition number of the boundary operator).
+    Raises SingularShootingMatrix when that operator's condition number
+    exceeds COND_LIMIT, or when the returned path misses the terminal
+    condition by more than BOUNDARY_RTOL (1 + |p(T)|).
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    cT = np.asarray(cT, dtype=float).reshape(-1)
     n = x0.size
     Y0 = np.zeros((2 * n, n + 1))
     Y0[:n, 0] = x0
@@ -117,10 +122,17 @@ def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
     cond = float(np.linalg.cond(N))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularShootingMatrix(cond)
-    rhs = -(C @ YT[:, 0]) - np.asarray(cT, dtype=float).reshape(-1)
+    rhs = -(C @ YT[:, 0]) - cT
     p0 = np.linalg.solve(N, rhs)
     w = path[:, :, 0] + path[:, :, 1:] @ p0
-    return w[:, :n], w[:, n:], p0, cond
+    x, p = w[:, :n], w[:, n:]
+    miss = float(np.linalg.norm(GT @ x[-1] + cT - p[-1]))
+    if not miss <= BOUNDARY_RTOL * (1.0 + np.linalg.norm(p[-1])):
+        raise SingularShootingMatrix(
+            cond, f"shooting lost accuracy: boundary residual {miss:.3e} "
+                  f"exceeds {BOUNDARY_RTOL:.0e} (1 + |p(T)|) at condition "
+                  f"number {cond:.3e}")
+    return x, p, p0, cond
 
 
 def _ode_defect(grid, xi, eta, M: Schedule) -> float:

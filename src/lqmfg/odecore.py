@@ -3,13 +3,14 @@
 Two forms of the same classical fixed-step RK4 scheme:
 
 * `rk4_integrate` steps any right-hand side field(t, y) by four Python
-  field calls per step; the direct Gamma route and the scalar appendix
-  routes use it.
+  field calls per step; only the direct nonsymmetric Gamma route uses it,
+  as a deliberately independent cross-check.
 * `_step_maps` builds the exact per-step maps y_{k+1} = E_k y_k + f_k of
   a linear system y' = M(t) y + s(t) with a piecewise-constant `Schedule`
   M in batched numpy.  Every linear object of the package comes from
   them: shooting, fundamental solutions and the scans, the Radon backward
-  pass, |||phi||| and the symmetric Riccati pair.
+  pass, |||phi|||, and through `_sweep` the symmetric Riccati pair and
+  both appendix routes.
 
 Also here: fundamental solutions of dphi/dt = A_t phi, stage values,
 matrix exponentials, principal PSD square roots, and spectral norms.
@@ -178,6 +179,51 @@ def _rk4_linear(M: Schedule, y0, grid, source=None,
     return path[::-1].copy() if backward else path
 
 
+def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
+    """Backward Riccati sweep of y' = M(t) y + s(t), y = (x; p), under the
+    terminal condition p(T) = GT x(T) + cT.
+
+    The backward maps y(t_k) = B_k y(t_{k+1}) + g_k of `_step_maps` carry
+    the decoupling p = Gamma x + zeta from T to 0 as a linear-fractional
+    (Moebius) map: with (W1; W2) = B_k (I; Gamma_{k+1}) and
+    (v1; v2) = B_k (0; zeta_{k+1}) + g_k, Gamma_k = W2 W1^-1 and
+    zeta_k = v2 - Gamma_k v1.  Given x0, the forward pass
+    x_{k+1} = W1_k^-1 (x_k - v1_k) runs on the same maps.  source holds s
+    on stage_points(grid), shape (2K+1, 2n).  Returns Gamma (K+1, n, n),
+    zeta (K+1, n) (None without source and cT) and x (K+1, n) (None
+    without x0).
+    """
+    grid = np.asarray(grid, dtype=float)
+    n, K = GT.shape[0], grid.size - 1
+    maps, shifts = _step_maps(M, grid, source, backward=True)
+    Gamma = np.empty((K + 1, n, n))
+    Gamma[K] = GT
+    affine = source is not None or cT is not None
+    zeta = np.zeros((K + 1, n))
+    if cT is not None:
+        zeta[K] = cT
+    for k, Bk in zip(range(K - 1, -1, -1), maps):
+        W = Bk[:, :n] + Bk[:, n:] @ Gamma[k + 1]
+        Gamma[k] = np.linalg.solve(W[:n].T, W[n:].T).T
+        if affine:
+            v = Bk[:, n:] @ zeta[k + 1]
+            if shifts is not None:
+                v += shifts[K - 1 - k, :, 0]
+            zeta[k] = v[n:] - Gamma[k] @ v[:n]
+    x = None
+    if x0 is not None:
+        B = maps[::-1]                  # B[k] takes y(t_{k+1}) to y(t_k)
+        W1inv = np.linalg.inv(B[:, :n, :n] + B[:, :n, n:] @ Gamma[1:])
+        v1 = np.einsum("kij,kj->ki", B[:, :n, n:], zeta[1:])
+        if shifts is not None:
+            v1 += shifts[::-1, :n, 0]
+        x = np.empty((K + 1, n))
+        x[0] = x0
+        for k in range(K):
+            x[k + 1] = W1inv[k] @ (x[k] - v1[k])
+    return Gamma, zeta if affine else None, x
+
+
 def stage_points(grid: np.ndarray) -> np.ndarray:
     """Grid points interleaved with midpoints: every time RK4 stages touch."""
     grid = np.asarray(grid, dtype=float)
@@ -187,23 +233,6 @@ def stage_points(grid: np.ndarray) -> np.ndarray:
 def stage_values(grid: np.ndarray, values) -> np.ndarray:
     """Cubic-spline values on stage_points(grid) of a path sampled on grid."""
     return CubicSpline(grid, values, axis=0)(stage_points(grid))
-
-
-class StageSampled:
-    """Callable t -> value backed by samples on the RK4 stage points.
-
-    Avoids per-stage interpolator calls inside integration loops; t must
-    be one of the stage points (nearest lookup, exact on stage points).
-    """
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        self._t0 = float(grid[0])
-        self._h2 = (grid[1] - grid[0]) / 2.0
-        self._values = values
-
-    def __call__(self, t: float) -> np.ndarray:
-        j = int(round((t - self._t0) / self._h2))
-        return self._values[min(max(j, 0), len(self._values) - 1)]
 
 
 @dataclass(frozen=True)

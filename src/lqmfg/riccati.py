@@ -3,8 +3,8 @@
 Three routes to the matrix paths:
 
 * the symmetric control Riccati pair (Xi, zeta) of the single-agent
-  problem with a frozen mean path z, by a backward sweep of the RK4 step
-  maps of its linear Hamiltonian system,
+  problem with a frozen mean path z, by the backward Riccati sweep
+  `odecore._sweep` of the RK4 step maps of its linear Hamiltonian system,
 * the nonsymmetric equation for Gamma in the ansatz eta = Gamma xi,
   solved either through blocks of the fundamental solution (Radon's
   lemma) or by direct backward integration with blow-up detection,
@@ -24,7 +24,7 @@ import numpy as np
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
-from .odecore import (IntegrationOverflow, _rk4_linear, _step_maps,
+from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
                       rk4_integrate_backward, stage_points, stage_values)
 
 BLOW_UP_LIMIT = 1e12
@@ -70,35 +70,24 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
     mean path z on the grid, zeta form the decoupling field p = Xi x + zeta
     of the linear Hamiltonian system d/dt (x; p) = H (x; p) + (Abar z;
     Qbar S z), H = [[A, -B R^-1 B*], [-(Q+Qbar), -A*]], with
-    p(T) = (QT + QbarT) x(T) - QbarT ST z(T).  One sweep from T of its
-    backward RK4 step maps (x; p)(t_k) = B_k (x; p)(t_{k+1}) + g_k gives
-    Xi_k = W2 W1^-1 with (W1; W2) = B_k (I; Xi_{k+1}) and
-    zeta_k = v2 - Xi_k v1 with (v1; v2) = B_k (0; zeta_{k+1}) + g_k.
+    p(T) = (QT + QbarT) x(T) - QbarT ST z(T), by one `odecore._sweep` of
+    its backward RK4 step maps from T.
     """
     if grid is None:
         grid = build_grid(spec, steps)
-    n, K = spec.n, grid.size - 1
     H = Schedule.combine(
         lambda A, BRB, Q, Qbar: np.block([[A, -BRB], [-(Q + Qbar), -A.T]]),
         spec.A, system_blocks(spec).BRB, spec.Q, spec.Qbar)
-    Xi = np.empty((K + 1, n, n))
-    zeta = np.zeros((K + 1, n))
-    Xi[K] = spec.QT + spec.QbarT
-    source = np.zeros((2 * K + 1, 2 * n))
+    source = cT = None
     if z is not None:
         drive = Schedule.combine(lambda Ab, Qb, S: np.vstack([Ab, Qb @ S]),
                                  spec.Abar, spec.Qbar, spec.S)
         source = np.einsum("kij,kj->ki", sample(drive, stage_points(grid)),
                            stage_values(grid, z))
-        zeta[K] = -spec.QbarT @ spec.ST @ z[-1]
-    maps, shifts = _step_maps(H, grid, source, backward=True)
-    for k, Bk, g in zip(range(K - 1, -1, -1), maps, shifts[:, :, 0]):
-        W = Bk[:, :n] + Bk[:, n:] @ Xi[k + 1]
-        Xi[k] = np.linalg.solve(W[:n].T, W[n:].T).T
-        v = Bk[:, n:] @ zeta[k + 1] + g
-        zeta[k] = v[n:] - Xi[k] @ v[:n]
+        cT = -spec.QbarT @ spec.ST @ z[-1]
+    Xi, zeta, _ = _sweep(H, spec.QT + spec.QbarT, grid, source, cT)
     Xi = (Xi + Xi.transpose(0, 2, 1)) / 2.0
-    return RiccatiPath(grid=grid, gamma=Xi, aux=None if z is None else zeta)
+    return RiccatiPath(grid=grid, gamma=Xi, aux=zeta)
 
 
 def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,

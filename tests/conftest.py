@@ -25,6 +25,20 @@ def spec_benchmark() -> ProblemSpec:
     return load_config(bundled_config("benchmark_scalar"))
 
 
+def stage_lookup(grid: np.ndarray, values: np.ndarray):
+    """Callable t -> value backed by samples on the RK4 stage points of a
+    uniform grid (nearest lookup, exact on stage points): lets a field
+    integrated by `rk4_integrate` read a sampled source at its stages."""
+    t0 = float(grid[0])
+    h2 = (grid[1] - grid[0]) / 2.0
+
+    def at(t: float) -> np.ndarray:
+        j = int(round((t - t0) / h2))
+        return values[min(max(j, 0), len(values) - 1)]
+
+    return at
+
+
 def scalar_spec(a=0.0, abar=0.0, b=1.0, sigma=0.0, q=1.0, qbar=0.0, r=1.0,
                 s=0.0, qT=0.0, qbarT=0.0, sT=0.0, T=1.0, x0=1.0,
                 delta=1e-6) -> ProblemSpec:

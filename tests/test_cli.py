@@ -113,6 +113,51 @@ def test_solve_at_singular_horizon_exits_2(tmp_path, capsys):
     assert "condition number" in err
 
 
+# a classical scalar problem (Abar = Qbar = QbarT = 0) on which shooting at
+# T = 20 with 8000 steps misses its terminal condition by about 3.7e3
+LOST_ACCURACY = """
+[problem]
+n = 1
+m = 1
+T = 20.0
+x0_mean = -0.2401738727523628
+[A]
+const = 0.025684855058411154
+[Abar]
+const = 0.0
+[B]
+const = 1.6106745607467148
+[sigma]
+const = 0.2
+[Q]
+const = 1.4594698154980255
+[Qbar]
+const = 0.0
+[R]
+const = 0.7305467032119126
+[S]
+const = 0.0
+[QT]
+const = 3.645387139582785
+[QbarT]
+const = 0.0
+[ST]
+const = 1.0
+"""
+
+
+def test_solve_with_lost_shooting_accuracy_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(LOST_ACCURACY)
+    code = main(["solve", "--config", str(cfg), "--steps", "8000",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and "lost accuracy" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -172,6 +217,17 @@ def test_appendix_verb_emits_both_verdicts(tmp_path, capsys):
     assert verdicts["feedback_simplified"][0] >= 1.0
     out = capsys.readouterr().out
     assert "gamma <= 1" in out
+
+
+def test_appendix_malformed_line_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(open(APPENDIX).read().replace("eta = 1.0", "eta 1.0"))
+    code = main(["appendix", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: line ") and "key = value" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("appendix.*"))
 
 
 def test_simulate_verb_small(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import scalar_spec
 from lqmfg.coeffs import (ConfigError, ProblemSpec, Schedule, build_grid,
-                          parse_config, sample, system_blocks, uniform_grid,
-                          validate)
+                          config_sections, parse_config, sample,
+                          system_blocks, uniform_grid, validate)
 from lqmfg.fbsolver import _aux_inner_system, equilibrium_system
 from lqmfg.mftype import mftype_system
 
@@ -301,3 +301,19 @@ def test_parse_config_terminal_rejects_piecewise():
     broken = CONFIG_OK.replace("[QT]\nconst = 0.0", "[QT]\nat 0.0 = 0.0")
     with pytest.raises(ConfigError, match="terminal"):
         parse_config(broken)
+
+
+def test_config_sections_entries_and_errors():
+    text = ("# header\n[extra]\nk = 1 # note\n\n"
+            "[problem]\nx0_cov = 2\n[extra]\nj=3\n")
+    assert config_sections(text) == {
+        "extra": [(3, "k", "1"), (8, "j", "3")],
+        "problem": [(6, "x0_cov", "2")]}
+    for bad, line, message in [("k = 1\n", 1, "before any"),
+                               ("[extra]\nk = 1\nk 2\n", 3, "key = value")]:
+        with pytest.raises(ConfigError, match=message) as exc:
+            config_sections(bad)
+        assert exc.value.line == line
+    with pytest.raises(ConfigError, match="unknown section") as exc:
+        config_sections(text, known=("problem",))
+    assert exc.value.line == 2

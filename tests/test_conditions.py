@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_contractive_scalar_spec, scalar_spec
+from conftest import random_contractive_scalar_spec, scalar_spec, stage_lookup
 from lqmfg.coeffs import Schedule, build_grid, uniform_grid
 from lqmfg.conditions import (AppendixParams, _strict_less_one, appendix_adjoint_route,
                               appendix_feedback_condition, appendix_feedback_riccati,
@@ -269,3 +269,56 @@ def test_adjoint_route_mean_system_residual_small():
     rep = appendix_adjoint_route(p, uniform_grid(1.0, 2000))
     assert rep.pbar_residual < 1e-7
     assert abs(rep.zbar[0]) == 0.0
+
+
+def _appendix_oracle(p, grid):
+    """(Pi, P, rho, zbar) by field-call RK4 on the nonlinear Riccati and
+    offset equations: Pi, P and rho backward, then zbar forward reading
+    P and rho at the RK4 stage points.  An independent route to what
+    `odecore._sweep` gives both appendix routes."""
+    from lqmfg.odecore import (rk4_integrate, rk4_integrate_backward,
+                               stage_values)
+
+    k2 = p.b ** 2 / p.r
+
+    def field(t, y):
+        pi, P, rho = y
+        return np.array([k2 * pi * pi - 2.0 * p.a * pi - 1.0,
+                         -(2.0 * p.a + p.alpha) * P + k2 * P * P - 1.0
+                         + p.gamma,
+                         -(p.a - k2 * P) * rho + p.gamma * p.eta])
+
+    pi, P, rho = rk4_integrate_backward(field, np.zeros(3), grid).T
+    P_at = stage_lookup(grid, stage_values(grid, P))
+    rho_at = stage_lookup(grid, stage_values(grid, rho))
+    zbar = rk4_integrate(
+        lambda t, z: (p.a + p.alpha) * z - k2 * (P_at(t) * z + rho_at(t)),
+        np.array(0.0), grid)
+    return pi, P, rho, zbar
+
+
+def test_appendix_routes_match_field_oracle():
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        p = AppendixParams(a=rng.uniform(-0.5, 0.5), b=rng.uniform(0.3, 1.5),
+                           r=rng.uniform(0.5, 2.0),
+                           alpha=rng.uniform(-0.5, 0.5),
+                           gamma=rng.uniform(-3.0, 1.0),
+                           eta=rng.uniform(-1.0, 1.0), T=rng.uniform(0.5, 4.0))
+        grid = uniform_grid(p.T, 1000)
+        pi, P, rho, zbar = _appendix_oracle(p, grid)
+        ric = appendix_feedback_riccati(p, grid)
+        rep = appendix_adjoint_route(p, grid)
+        assert np.max(np.abs(ric.pi - pi)) < 1e-8
+        assert np.max(np.abs(rep.P - P)) < 1e-8
+        assert np.max(np.abs(rep.rho - rho)) < 1e-8
+        assert np.max(np.abs(rep.zbar - zbar)) < 1e-8
+
+
+@pytest.mark.parametrize("steps", [2000, 3000])
+def test_adjoint_route_accuracy_on_documented_example(steps):
+    p = AppendixParams(a=0.0, b=1.0, r=1.0, alpha=0.0, gamma=-5.0, eta=1.0,
+                       T=10.0)
+    rep = appendix_adjoint_route(p, steps=steps)
+    assert rep.pbar_residual < 1e-8
+    assert rep.closed_form_error < 5e-10

@@ -272,3 +272,18 @@ def test_equilibrium_system_blocks(spec_ex1):
     assert np.allclose(GT, 0.0)
     Rinv = np.array([[2.0, 3.1], [3.1, 4.9]])
     assert np.max(np.abs(M[:2, 2:] + Rinv)) < 1e-9
+
+
+def test_shooting_raises_when_it_misses_the_terminal_condition():
+    # classical scalar problem at T = 20: the shooting operator is well
+    # conditioned, yet the propagated columns lose the terminal condition
+    # (residual about 3.7e3), so the path must not be returned
+    coeffs = dict(a=0.025684855058411154, b=1.6106745607467148,
+                  q=1.4594698154980255, r=0.7305467032119126,
+                  qT=3.645387139582785, x0=-0.2401738727523628)
+    spec = scalar_spec(T=20.0, **coeffs)
+    with pytest.raises(SingularShootingMatrix, match="lost accuracy"):
+        solve_equilibrium_shooting(spec, uniform_grid(20.0, 8000))
+    # on a shorter horizon the same problem shoots accurately
+    sol = solve_equilibrium_shooting(scalar_spec(T=5.0, **coeffs), steps=2000)
+    assert sol.boundary_residual < 1e-8

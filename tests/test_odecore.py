@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stage_lookup
 from lqmfg.coeffs import Schedule, uniform_grid
-from lqmfg.fbsolver import equilibrium_system
+from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
-                           StageSampled, _rk4_linear, fundamental_solution,
-                           inv_sqrt, matrix_exponential, psd_sqrt,
-                           rk4_integrate, rk4_integrate_backward,
-                           spectral_norm)
+                           _rk4_linear, _sweep, fundamental_solution, inv_sqrt,
+                           matrix_exponential, psd_sqrt, rk4_integrate,
+                           rk4_integrate_backward, spectral_norm)
+from lqmfg.riccati import solve_nonsymmetric_radon
 
 
 def test_rk4_zero_field_is_constant():
@@ -99,7 +100,7 @@ def linear_problems(draw):
 def _field(M, grid, source):
     if source is None:
         return lambda t, y: M.at(t) @ y
-    stage = StageSampled(grid, source)
+    stage = stage_lookup(grid, source)
     return lambda t, y: M.at(t) @ y + stage(t)
 
 
@@ -153,6 +154,25 @@ def test_linear_propagator_overflow_index_matches_rk4(problem, backward,
     finite = np.isfinite(ref.value.path)
     assert np.array_equal(np.isfinite(new.value.path), finite)
     _assert_close(new.value.path[finite], ref.value.path[finite])
+
+
+@pytest.mark.parametrize("name", ["spec_ex1", "spec_ex2", "spec_classical"])
+def test_sweep_forward_pass_matches_shooting_and_radon(name, request):
+    # nonsymmetric n = 2 Gamma and its forward pass xi_{k+1} =
+    # W1_k^-1 xi_k against shooting's xi and Radon's Gamma; on
+    # counterexample_2d_2 Gamma nears a pole (|Gamma| ~ 2e3), so Gamma is
+    # compared relative to its size
+    spec = request.getfixturevalue(name)
+    assert spec.n == 2
+    grid = uniform_grid(spec.T, 1000)
+    M, GT = equilibrium_system(spec)
+    Gamma, zeta, x = _sweep(M, GT, grid, x0=spec.x0_mean)
+    assert zeta is None
+    shoot = solve_equilibrium_shooting(spec, grid)
+    assert np.max(np.abs(x - shoot.xi)) < 1e-10
+    radon = solve_nonsymmetric_radon(spec, grid)
+    scale = 1.0 + np.max(np.abs(Gamma))
+    assert np.max(np.abs(Gamma - radon.gamma)) < 1e-10 * scale
 
 
 def test_fundamental_solution_zero_field_is_identity():

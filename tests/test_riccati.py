@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_classical_spec, scalar_spec
+from conftest import random_classical_spec, scalar_spec, stage_lookup
 from lqmfg.coeffs import ProblemSpec, build_grid, uniform_grid
 from lqmfg.fbsolver import refine_singular_horizon, solve_equilibrium_shooting
 from lqmfg.riccati import (BoundaryOperatorSingular, DistinctRootsViolated,
@@ -225,12 +225,11 @@ def _pair_oracle(spec, grid, z=None):
     z read at the RK4 stage points: an independent route to the pair that
     `solve_symmetric` takes from the Hamiltonian step maps."""
     from lqmfg.coeffs import system_blocks
-    from lqmfg.odecore import (StageSampled, rk4_integrate_backward,
-                               stage_values)
+    from lqmfg.odecore import rk4_integrate_backward, stage_values
 
     n = spec.n
     BRB = system_blocks(spec).BRB
-    z_fn = (StageSampled(grid, stage_values(grid, z)) if z is not None
+    z_fn = (stage_lookup(grid, stage_values(grid, z)) if z is not None
             else lambda t: np.zeros(n))
 
     def field(t, y):
