@@ -155,14 +155,13 @@ def _cmd_check(args, out: Path) -> int:
     spec = _load_validated(args)
     steps = _steps(args, 400)
     grid = build_grid(spec, steps)
-    L = conditions.compute_L(spec, grid)
+    L = conditions.compute_L(spec)
     main = conditions.compute_mainthm_norms(spec, grid)
     main.L = L
     main.verdicts["small_time_L"] = conditions._strict_less_one(L)
-    ric = conditions.check_riccati_solvable(
-        spec, T0=None if spec.is_constant else spec.T, steps=steps)
-    for name, verdict in ric.verdicts.items():
-        main.verdicts[name] = verdict
+    # the one [0, T] norm report also decides riccati_solvable
+    main.verdicts["riccati_solvable"] = conditions.riccati_solvable_verdict(
+        main, spec.T, None if spec.is_constant else spec.T)
 
     # shifted variant with the canonical positive weight Qcal = Q + Seff
     blocks = system_blocks(spec)

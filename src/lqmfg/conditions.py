@@ -2,20 +2,27 @@
 
 Quantities computed here:
 
-* the small-time constant L (Gronwall route),
+* the small-time constant L (Gronwall route), from suprema over the
+  coefficient pieces,
 * the contraction norms |||phi|||, |||Abar|||, |||Seff||| and the main
   condition  sqrt(T) |||phi||| |||Abar||| (1 + |||Seff|||) + |||Seff||| < 1,
 * the shifted variant with Q replaced by a caller-chosen PD weight,
-* the solvability criterion for the nonsymmetric Riccati equation,
+* the solvability criterion for the nonsymmetric Riccati equation, a
+  rule on the same three norms,
 * the scalar appendix model, solved along two routes: the feedback
   route (value-function Riccati plus a contraction on the frozen mean)
   and the adjoint route with its gamma <= 1 condition, for side-by-side
   comparison of the two sufficient conditions.  Both Riccati paths, and
   the adjoint route's mean path, come from the backward Riccati sweep
-  `odecore._sweep` of a 2 x 2 linear Hamiltonian system.
+  `odecore._sweep` of a 2 x 2 linear Hamiltonian system; the feedback
+  propagator is kept as its exponent F, never as a table.
 
-All suprema are taken over the sample grid; strict "< 1" verdicts carry a
-borderline flag when the value is within 1e-9 of 1.
+Each norm report comes from one evaluation (`_mainthm_norms`) on its
+grid, and every verdict on those norms reads that report: the `check`
+verb takes mainthm and riccati_solvable from one [0, T] report.
+|||phi||| forms phi(s, t) only for s >= t.  All suprema are taken over
+the sample grid; strict "< 1" verdicts carry a borderline flag when the
+value is within 1e-9 of 1.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
-                     system_blocks, uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, _min_eig, build_grid, csv_text,
+                     sample, system_blocks, uniform_grid)
 from .odecore import (_rk4_linear, _sweep, inv_sqrt, psd_sqrt, spectral_norm,
                       spectral_norms)
 
@@ -66,24 +73,23 @@ def _strict_less_one(value: float) -> Verdict:
     return Verdict(status, borderline=abs(value - 1.0) < BORDERLINE_TOL)
 
 
-def compute_L(spec: ProblemSpec, grid: np.ndarray | None = None,
-              steps: int = 400) -> float:
+def compute_L(spec: ProblemSpec) -> float:
     """The small-time constant
 
         L = T (||QT+SeffT||^2 + ||Q+Seff||_T) ||B R^-1 B*||_T
             * exp((2||A+Abar||_T + 2||A*||_T + ||BRB||_T + ||Q+Seff||_T) T)
 
-    with ||.||_T the supremum over grid samples of the spectral norm.
-    L < 1 guarantees unique solvability; it is typically far too large to
-    be useful, which is what the contraction condition improves on.
+    with ||.||_T the supremum of the spectral norm over the schedule's
+    pieces.  On a validated spec every piece starts on a `build_grid`
+    point, so this is the supremum over grid samples.  L < 1 guarantees
+    unique solvability; it is typically far too large to be useful, which
+    is what the contraction condition improves on.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     T = spec.T
     blocks = system_blocks(spec)
 
     def sup(sched: Schedule) -> float:
-        return max(spectral_norm(M) for M in sample(sched, grid))
+        return max(spectral_norm(M) for _, M in sched.values)
 
     brb_sup = sup(blocks.BRB)
     qs_sup = sup(blocks.QS)
@@ -94,19 +100,15 @@ def compute_L(spec: ProblemSpec, grid: np.ndarray | None = None,
                  * np.exp((2 * a_abar_sup + 2 * astar_sup + brb_sup + qs_sup) * T))
 
 
-class _NormsUndefined(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
 def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
                        sqrtQ_terminal: np.ndarray, grid: np.ndarray) -> float:
     """|||phi||| = sup_t sqrt(||phi*(T,t) QT^1/2||^2
                               + int_t^T ||phi*(s,t) Qs^1/2||^2 ds).
 
     Uses phi(s,t) = phi(s,0) phi(t,0)^-1 so a single fundamental-solution
-    pass suffices; the products are normed in batches.
+    pass suffices; the products are normed in batches of times t, each
+    against the samples s >= the batch's first t, since the integral
+    reads no s < t.
     """
     Phi = _rk4_linear(A_sched, np.eye(sqrtQ.shape[-1]), grid)
     G = np.einsum("sji,sjk->sik", Phi, sqrtQ)          # phi(s,0)^T Qs^1/2
@@ -116,41 +118,52 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
     best = 0.0
     for lo in range(0, K, PHI_BLOCK):
         hi = min(lo + PHI_BLOCK, K)
-        prod = np.einsum("tij,sjk->tsik", X[lo:hi], G)
-        norms2 = spectral_norms(prod) ** 2              # (hi-lo, K)
+        prod = np.einsum("tij,sjk->tsik", X[lo:hi], G[lo:])
+        norms2 = spectral_norms(prod) ** 2              # (hi-lo, K-lo)
         term2 = spectral_norms(np.einsum("tij,jk->tik",
                                          X[lo:hi], G_term)) ** 2
-        for j, t_idx in enumerate(range(lo, hi)):
-            integral = trapezoid(norms2[j, t_idx:], grid[t_idx:])
+        for j in range(hi - lo):
+            integral = trapezoid(norms2[j, j:], grid[lo + j:])
             best = max(best, term2[j] + integral)
     return float(np.sqrt(best))
 
 
-def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
-                   QcalT: np.ndarray, S_running: Schedule,
-                   S_terminal: np.ndarray) -> tuple[float, float, float]:
-    """The three contraction norms with running weight Qcal, terminal
-    weight QcalT, and deviation weight S_running / S_terminal."""
+def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
+                   Qcal: Schedule, QcalT: np.ndarray, S_running: Schedule,
+                   S_terminal: np.ndarray) -> ConditionReport:
+    """One evaluation on grid of the three contraction norms with running
+    weight Qcal, terminal weight QcalT, and deviation weight S_running /
+    S_terminal, of the lhs sqrt(T) |||phi||| |||Abar||| (1 + |||Seff|||)
+    + |||Seff|||, and of its strict "< 1" verdict under `name`.
+
+    An undefined norm leaves the norms unset and makes the verdict
+    "undefined" with the reason, never an exception.
+    """
+    report = ConditionReport()
+
+    def undefined(reason: str) -> ConditionReport:
+        report.verdicts[name] = Verdict("undefined", reason=reason)
+        return report
+
     abar_zero = all(np.all(M == 0) for _, M in spec.Abar.values)
-    s_zero = (all(np.all(M == 0) for _, M in S_running.values)
-              and np.all(S_terminal == 0))
     s_term_zero = np.all(S_terminal == 0)
+    s_zero = all(np.all(M == 0) for _, M in S_running.values) and s_term_zero
 
     try:
         sqrtQ = sample(Qcal.map(psd_sqrt), grid)
     except ValueError as exc:
-        raise _NormsUndefined(f"running weight has no PSD square root: {exc}")
+        return undefined(f"running weight has no PSD square root: {exc}")
     try:
         sqrtQT = psd_sqrt(QcalT)
     except ValueError as exc:
-        raise _NormsUndefined(f"terminal weight has no PSD square root: {exc}")
+        return undefined(f"terminal weight has no PSD square root: {exc}")
 
     inv_sqrtQ = None
     if not (abar_zero and s_zero):
         try:
             inv_sqrtQ = sample(Qcal.map(inv_sqrt), grid)
         except ValueError as exc:
-            raise _NormsUndefined(
+            return undefined(
                 f"running weight must be positive definite: {exc}")
 
     phi = _phi_weighted_norm(spec.A, sqrtQ, sqrtQT, grid)
@@ -172,11 +185,15 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, Qcal: Schedule,
             try:
                 inv_sqrtQT = inv_sqrt(QcalT)
             except ValueError as exc:
-                raise _NormsUndefined(
+                return undefined(
                     "terminal deviation weight is nonzero, so the terminal "
                     f"weight must be positive definite: {exc}")
             s = max(s, spectral_norm(inv_sqrtQT @ S_terminal @ inv_sqrtQT))
-    return phi, abar, s
+
+    report.phi_norm, report.abar_norm, report.s_norm = phi, abar, s
+    report.mainthm_lhs = float(np.sqrt(spec.T) * phi * abar * (1.0 + s) + s)
+    report.verdicts[name] = _strict_less_one(report.mainthm_lhs)
+    return report
 
 
 def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
@@ -188,24 +205,13 @@ def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
     Requires the running Q to be positive definite on the grid whenever
     Abar or Seff is nonzero; when SeffT = 0 the terminal QT only needs a
     PSD square root.  Undefined norms produce an "undefined" verdict with
-    the reason, never an exception.
+    the reason, never an exception.  The report's norms also decide the
+    Riccati solvability criterion (`riccati_solvable_verdict`).
     """
     if grid is None:
         grid = build_grid(spec, steps)
-    report = ConditionReport()
-    try:
-        phi, abar, s = _mainthm_norms(
-            spec, grid, spec.Q, spec.QT, system_blocks(spec).Seff,
-            spec.terminal_effective_S)
-    except _NormsUndefined as exc:
-        report.verdicts["mainthm"] = Verdict("undefined", reason=exc.reason)
-        return report
-    report.phi_norm = phi
-    report.abar_norm = abar
-    report.s_norm = s
-    report.mainthm_lhs = float(np.sqrt(spec.T) * phi * abar * (1.0 + s) + s)
-    report.verdicts["mainthm"] = _strict_less_one(report.mainthm_lhs)
-    return report
+    return _mainthm_norms(spec, grid, "mainthm", spec.Q, spec.QT,
+                          system_blocks(spec).Seff, spec.terminal_effective_S)
 
 
 def check_shifted(spec: ProblemSpec, Qcal: Schedule,
@@ -223,87 +229,67 @@ def check_shifted(spec: ProblemSpec, Qcal: Schedule,
         grid = build_grid(spec, steps)
     if QcalT is None:
         QcalT = Qcal.at(grid[-1])
-    blocks = system_blocks(spec)
-    shifted = Schedule.combine(np.subtract, blocks.QS, Qcal)
-    shifted_T = blocks.GT - QcalT
-
-    lam_min = min(float(np.linalg.eigvalsh((M + M.T) / 2).min())
-                  for _, M in Qcal.values)
+    lam_min = min(_min_eig(M) for _, M in Qcal.values)
     if lam_min <= 0:
         raise ValueError(
             f"shift weight is not positive definite (min eigenvalue "
             f"{lam_min:.3e})")
-
-    report = ConditionReport()
-    try:
-        phi, abar, s = _mainthm_norms(spec, grid, Qcal, QcalT, shifted,
-                                      shifted_T)
-    except _NormsUndefined as exc:
-        report.verdicts["shifted"] = Verdict("undefined", reason=exc.reason)
-        return report
-    report.phi_norm = phi
-    report.abar_norm = abar
-    report.s_norm = s
-    report.mainthm_lhs = float(np.sqrt(spec.T) * phi * abar * (1.0 + s) + s)
-    report.verdicts["shifted"] = _strict_less_one(report.mainthm_lhs)
-    return report
+    blocks = system_blocks(spec)
+    return _mainthm_norms(spec, grid, "shifted", Qcal, QcalT,
+                          Schedule.combine(np.subtract, blocks.QS, Qcal),
+                          blocks.GT - QcalT)
 
 
-def check_riccati_solvable(spec: ProblemSpec, T0: float | None = None,
-                           steps: int = 400) -> ConditionReport:
-    """Solvability criterion for the nonsymmetric Riccati equation.
-
-    With the contraction norms evaluated on [0, T0] (terminal weights are
-    the problem's own), the equation is solvable if either
+def riccati_solvable_verdict(norms: ConditionReport, T: float,
+                             T0: float | None) -> Verdict:
+    """Solvability criterion for the nonsymmetric Riccati equation, read
+    off a `compute_mainthm_norms` report on [0, T0] (terminal weights are
+    the problem's own): the equation on [0, T] is solvable if either
     |||Abar||| = 0 and |||Seff||| < 1, or |||Abar||| != 0 and
     T < ((1 - |||Seff|||) / (|||phi||| |||Abar||| (1 + |||Seff|||)))^2 ^ T0.
 
-    For constant coefficients the T0 cap is vacuous and drops; T0 = None
-    selects that form (norms on the problem's own horizon) and requires a
-    constant-coefficient spec.
+    T0 = None drops the cap, which is vacuous for constant coefficients
+    (the norms are then those on [0, T]).  Undefined norms give the
+    report's "undefined" verdict.
     """
-    if T0 is None:
-        if not spec.is_constant:
-            raise ValueError("the T0-free form of the criterion needs "
-                             "constant coefficients; pass T0 explicitly")
-        horizon = spec.T
-        cap = None
-    else:
-        horizon = T0
-        cap = T0
-    grid = uniform_grid(horizon, steps)
-    report = ConditionReport()
-    try:
-        phi, abar, s = _mainthm_norms(
-            spec, grid, spec.Q, spec.QT, system_blocks(spec).Seff,
-            spec.terminal_effective_S)
-    except _NormsUndefined as exc:
-        report.verdicts["riccati_solvable"] = Verdict("undefined",
-                                                      reason=exc.reason)
-        return report
-    report.phi_norm = phi
-    report.abar_norm = abar
-    report.s_norm = s
+    phi, abar, s = norms.phi_norm, norms.abar_norm, norms.s_norm
+    if phi is None:
+        return Verdict("undefined", reason=norms.verdicts["mainthm"].reason)
     if abar == 0.0:
         verdict = _strict_less_one(s)
         verdict.reason = "Abar = 0 branch: requires |||Seff||| < 1"
         if verdict.status == "violated":
             verdict.status = "not-concluded"
-        report.verdicts["riccati_solvable"] = verdict
-        return report
+        return verdict
     if s >= 1.0:
-        report.verdicts["riccati_solvable"] = Verdict(
-            "not-concluded", reason=f"|||Seff||| = {s:.6g} >= 1")
-        return report
+        return Verdict("not-concluded", reason=f"|||Seff||| = {s:.6g} >= 1")
     bound = ((1.0 - s) / (phi * abar * (1.0 + s))) ** 2
-    limit = bound if cap is None else min(bound, cap)
-    status = "satisfied" if spec.T < limit else "not-concluded"
-    requirement = (f"requires T < {bound:.6g}" if cap is None
-                   else f"requires T < min({bound:.6g}, T0={cap:g})")
-    report.verdicts["riccati_solvable"] = Verdict(
-        status, reason=requirement,
-        borderline=abs(spec.T - limit) < BORDERLINE_TOL)
-    return report
+    limit = bound if T0 is None else min(bound, T0)
+    requirement = (f"requires T < {bound:.6g}" if T0 is None
+                   else f"requires T < min({bound:.6g}, T0={T0:g})")
+    return Verdict("satisfied" if T < limit else "not-concluded",
+                   reason=requirement,
+                   borderline=abs(T - limit) < BORDERLINE_TOL)
+
+
+def check_riccati_solvable(spec: ProblemSpec, T0: float | None = None,
+                           steps: int = 400) -> ConditionReport:
+    """`riccati_solvable_verdict` on the contraction norms evaluated on a
+    uniform grid of [0, T0].
+
+    T0 = None selects the T0-free form (norms on the problem's own
+    horizon) and requires a constant-coefficient spec.
+    """
+    if T0 is None and not spec.is_constant:
+        raise ValueError("the T0-free form of the criterion needs "
+                         "constant coefficients; pass T0 explicitly")
+    norms = compute_mainthm_norms(
+        spec, uniform_grid(spec.T if T0 is None else T0, steps))
+    return ConditionReport(
+        phi_norm=norms.phi_norm, abar_norm=norms.abar_norm,
+        s_norm=norms.s_norm,
+        verdicts={"riccati_solvable": riccati_solvable_verdict(norms, spec.T,
+                                                               T0)})
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +319,12 @@ class AppendixParams:
 
 @dataclass
 class FeedbackRiccati:
-    """Pi path and the propagator table Phi[i, j] = Phi(t_i, t_j)."""
+    """Pi path and the propagator exponent F(t) = int_0^t (a - (b^2/r) Pi),
+    from which Phi(t, tau) = exp(F(tau) - F(t))."""
 
     grid: np.ndarray
     pi: np.ndarray
-    phi: np.ndarray
+    F: np.ndarray
 
 
 def appendix_feedback_riccati(p: AppendixParams,
@@ -348,18 +335,17 @@ def appendix_feedback_riccati(p: AppendixParams,
         dPi/dt + 2a Pi - (b^2/r) Pi^2 + 1 = 0,  Pi_T = 0,
 
     as the decoupling p = Pi x of d/dt (x; p) = [[a, -b^2/r], [-1, -a]]
-    (x; p), by `odecore._sweep`, and the table
-    Phi(t, tau) = exp(-int_tau^t (a - (b^2/r) Pi)).
+    (x; p), by `odecore._sweep`, and the exponent F of the closed-loop
+    propagator Phi(t, tau) = exp(-int_tau^t (a - (b^2/r) Pi)), by the
+    trapezoid rule.
     """
     if grid is None:
         grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
     H = Schedule.constant([[p.a, -k2], [-1.0, -p.a]])
     pi = _sweep(H, np.zeros((1, 1)), grid)[0][:, 0, 0]
-    # F(t) = int_0^t (a - k2 Pi); Phi(t, tau) = exp(F(tau) - F(t))
     F = cumulative_trapezoid(p.a - k2 * pi, grid, initial=0.0)
-    phi = np.exp(F[None, :] - F[:, None])   # phi[i, j] = Phi(t_i, t_j)
-    return FeedbackRiccati(grid=grid, pi=pi, phi=phi)
+    return FeedbackRiccati(grid=grid, pi=pi, F=F)
 
 
 def appendix_feedback_condition(p: AppendixParams,
@@ -377,8 +363,7 @@ def appendix_feedback_condition(p: AppendixParams,
     if grid is None:
         grid = uniform_grid(p.T, steps)
     ric = appendix_feedback_riccati(p, grid)
-    k2 = p.b ** 2 / p.r
-    F = cumulative_trapezoid(p.a - k2 * ric.pi, grid, initial=0.0)
+    F = ric.F
     g = np.abs(p.alpha) * ric.pi + np.abs(p.gamma)
 
     # inner(s) = int_s^T Phi(s,tau) g(tau) dtau, Phi(s,tau) = e^{F(tau)-F(s)}
@@ -386,7 +371,7 @@ def appendix_feedback_condition(p: AppendixParams,
     head = cumulative_trapezoid(weighted, grid, initial=0.0)
     tail = head[-1] - head                     # int_s^T
     inner = np.exp(-F) * tail
-    h = np.abs(p.alpha) + k2 * inner
+    h = np.abs(p.alpha) + p.b ** 2 / p.r * inner
     # outer(t) = int_0^t Phi(s,t) h(s) ds, Phi(s,t) = e^{F(t)-F(s)}
     outer = np.exp(F) * cumulative_trapezoid(np.exp(-F) * h, grid,
                                              initial=0.0)

@@ -187,6 +187,75 @@ def test_check_writes_conditions_csv(tmp_path, capsys):
     assert "contraction lhs" in capsys.readouterr().out
 
 
+# `check` stdout on the bundled configs at the default 400 steps
+CHECK_REPORTS = {
+    "benchmark_scalar": (
+        "L = 57.712\n"
+        "|||phi||| = 1.40552\n"
+        "|||Abar||| = 0.3\n"
+        "|||Seff||| = 0.25\n"
+        "contraction lhs = 0.777068\n"
+        "mainthm: satisfied\n"
+        "small_time_L: violated\n"
+        "riccati_solvable: satisfied [requires T < 2.02483]\n"
+        "shifted_positive_weight: satisfied\n"),
+    "classical_lq": (
+        "L = 206.111\n"
+        "|||phi||| = 1.62364\n"
+        "|||Abar||| = 0\n"
+        "|||Seff||| = 0\n"
+        "contraction lhs = 0\n"
+        "mainthm: satisfied\n"
+        "small_time_L: violated\n"
+        "riccati_solvable: satisfied "
+        "[Abar = 0 branch: requires |||Seff||| < 1]\n"
+        "shifted_positive_weight: satisfied\n"),
+    "counterexample_2d_1": (
+        "L = 43746.2\n"
+        "|||phi||| = 1.59169\n"
+        "|||Abar||| = 8.57064\n"
+        "|||Seff||| = 0\n"
+        "contraction lhs = 9.64623\n"
+        "mainthm: violated\n"
+        "small_time_L: violated\n"
+        "riccati_solvable: not-concluded [requires T < 0.00537347]\n"
+        "shifted_positive_weight: violated\n"),
+    "counterexample_2d_2": (
+        "L = 1.11295e+09\n"
+        "|||phi||| = 2.52556\n"
+        "|||Abar||| = 12.5435\n"
+        "|||Seff||| = 0\n"
+        "contraction lhs = 31.6793\n"
+        "mainthm: violated\n"
+        "small_time_L: violated\n"
+        "riccati_solvable: not-concluded [requires T < 0.000996436]\n"
+        "shifted_positive_weight: violated\n"),
+}
+
+
+@pytest.mark.parametrize("config", sorted(CHECK_REPORTS))
+def test_check_report_on_bundled_configs(tmp_path, capsys, config):
+    code = main(["check", "--config", str(bundled_config(config)),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out == CHECK_REPORTS[config]
+
+
+def test_check_evaluates_phi_norm_once_per_weight(tmp_path, monkeypatch):
+    # mainthm and riccati_solvable share the Q-weighted norm; the shifted
+    # check uses the weight Q + Seff
+    calls = []
+    inner = conditions._phi_weighted_norm
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(conditions, "_phi_weighted_norm", counting)
+    assert main(["check", "--config", BENCH, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+
+
 def test_mftype_verb(tmp_path, capsys):
     code = main(["mftype", "--config", CLASSICAL, "--steps", "300",
                  "--out", str(tmp_path)])

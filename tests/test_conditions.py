@@ -1,13 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from conftest import random_contractive_scalar_spec, scalar_spec, stage_lookup
-from lqmfg.coeffs import Schedule, build_grid, uniform_grid
+from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
 from lqmfg.conditions import (AppendixParams, _strict_less_one, appendix_adjoint_route,
                               appendix_feedback_condition, appendix_feedback_riccati,
                               appendix_report, check_riccati_solvable,
                               check_shifted, compute_L, compute_mainthm_norms)
 from lqmfg.fbsolver import fixed_point_iterate, solve_equilibrium_shooting
+from lqmfg.odecore import fundamental_solution
 from lqmfg.riccati import solve_nonsymmetric_radon
 
 
@@ -103,6 +107,56 @@ def test_strict_less_one_borderline_flag():
     v = _strict_less_one(1.0 + 5e-10)
     assert v.status == "violated" and v.borderline
     assert not _strict_less_one(0.5).borderline
+
+
+def _phi_norm_oracle(spec, grid):
+    """|||phi||| with phi(s, t) taken from a fundamental solution anchored
+    at each t, spectral norms by SVD and the trapezoid rule in s."""
+    def sqrt_psd(M):
+        lam, V = np.linalg.eigh(M)
+        return V @ np.diag(np.sqrt(lam)) @ V.T
+
+    def norm2(M):
+        return np.linalg.norm(M, 2) ** 2
+
+    sqrtQ = [sqrt_psd(spec.Q.at(s)) for s in grid]
+    sqrtQT = sqrt_psd(spec.QT)
+    best = 0.0
+    for k, t in enumerate(grid):
+        phi = fundamental_solution(spec.A, t, grid).samples   # phi(s, t)
+        running = [norm2(phi[j].T @ sqrtQ[j]) for j in range(k, grid.size)]
+        best = max(best, norm2(phi[-1].T @ sqrtQT)
+                   + trapezoid(running, grid[k:]))
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phi_norm_matches_anchored_fundamental_solutions(seed):
+    # piecewise 2-d specs, 1-3 breakpoints of A and Q on the grid
+    rng = np.random.default_rng(seed)
+    T, steps, n = float(rng.uniform(0.4, 1.2)), 60, 2
+    starts = [0.0, *np.sort(rng.choice(np.arange(1, steps), seed % 3 + 1,
+                                       replace=False)) * T / steps]
+
+    def piecewise(draw):
+        return Schedule.piecewise([(t, draw()) for t in starts])
+
+    def pd():
+        W = rng.normal(size=(n, n))
+        return W @ W.T / n + 0.5 * np.eye(n)
+
+    eye, zero = Schedule.constant(np.eye(n)), np.zeros((n, n))
+    spec = ProblemSpec(
+        n=n, m=n, T=T, A=piecewise(lambda: rng.normal(scale=0.8, size=(n, n))),
+        Abar=Schedule.constant(0.1 * np.eye(n)), B=eye, sigma=eye,
+        Q=piecewise(pd), Qbar=Schedule.constant(zero), R=eye, S=eye, QT=pd(),
+        QbarT=zero,
+        ST=np.eye(n), x0_mean=np.ones(n), delta=0.25)
+    grid = build_grid(spec, steps)
+    assert grid.size == steps + 1
+    got = compute_mainthm_norms(spec, grid).phi_norm
+    want = _phi_norm_oracle(spec, grid)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_shifted_positive_definite_weight_gives_zero_lhs():
@@ -207,9 +261,18 @@ def test_feedback_phi_table_properties():
     p = AppendixParams(a=0.1, b=1.0, r=1.0, alpha=0.0, gamma=0.5, eta=0.0,
                        T=1.0)
     ric = appendix_feedback_riccati(p, uniform_grid(1.0, 100))
-    assert np.max(np.abs(np.diag(ric.phi) - 1.0)) == 0.0
+    assert ric.F[0] == 0.0
+
+    def phi(i, j):  # Phi(t_i, t_j)
+        return np.exp(ric.F[j] - ric.F[i])
+
+    assert all(phi(i, i) == 1.0 for i in range(ric.grid.size))
     # two-point composition: Phi(t, s) = Phi(t, r) Phi(r, s)
-    assert abs(ric.phi[80, 20] - ric.phi[80, 50] * ric.phi[50, 20]) < 1e-12
+    assert abs(phi(80, 20) - phi(80, 50) * phi(50, 20)) < 1e-12
+    # no (K+1) x (K+1) table is kept
+    for f in fields(ric):
+        shape = np.shape(getattr(ric, f.name))
+        assert sum(d >= ric.grid.size for d in shape) < 2, f.name
 
 
 def test_feedback_condition_zero_sources():
