@@ -113,10 +113,12 @@ def _cmd_scan(args, out: Path) -> int:
 
 def _cmd_solve(args, out: Path) -> int:
     spec = _load_validated(args)
+    tol = args.tol if args.tol is not None else 1e-10
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {tol}")
     grid = build_grid(spec, _steps(args, 2000))
     sol = fbsolver.solve_equilibrium_shooting(spec, grid)
     _write(out, "solution.csv", fbsolver.fbsolution_csv(sol))
-    tol = args.tol if args.tol is not None else 1e-10
     try:
         fp = fbsolver.fixed_point_iterate(spec, grid, tol=tol)
         agreement = float(np.max(np.abs(fp.xi - sol.xi)))

@@ -80,10 +80,6 @@ class Schedule:
         return cls(tuple((float(t), _as_matrix(M)) for t, M in pairs))
 
     @property
-    def kind(self) -> str:
-        return "constant" if len(self.values) == 1 else "piecewise-constant"
-
-    @property
     def is_constant(self) -> bool:
         return len(self.values) == 1
 

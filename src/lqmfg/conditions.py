@@ -425,7 +425,7 @@ def appendix_adjoint_route(p: AppendixParams,
         grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
     H = Schedule.constant([[p.a + p.alpha, -k2], [-(1.0 - p.gamma), -p.a]])
-    source = np.tile([0.0, p.gamma * p.eta], (2 * grid.size - 1, 1))
+    source = np.tile([0.0, p.gamma * p.eta], (grid.size - 1, 3, 1))
     Gamma, rho, zbar = _sweep(H, np.zeros((1, 1)), grid, source,
                               x0=np.zeros(1))
     P, rho, zbar = Gamma[:, 0, 0], rho[:, 0], zbar[:, 0]

@@ -21,8 +21,7 @@ from scipy.integrate import trapezoid
 
 from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
                      system_blocks, uniform_grid)
-from .odecore import (_rk4_linear, fundamental_solution, stage_points,
-                      stage_values)
+from .odecore import _rk4_linear, fundamental_solution, stage_source
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
@@ -94,8 +93,8 @@ def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
     """Shooting solve of d/dt (x; p) = M(t)(x; p) + source(t) with
     x(0) = x0 and terminal condition p(T) = GT x(T) + cT.
 
-    source is None or the source's values on stage_points(grid), shape
-    (2K+1, 2n).  One forward RK4 pass integrates the particular solution
+    source is None or the source at the stages of each step, shape
+    (K, 3, 2n).  One forward RK4 pass integrates the particular solution
     and the n homogeneous columns seeded by p(0) = e_i; the terminal
     condition then determines p(0) from an n x n linear system.  Returns
     (x path, p path, p0, condition number of the boundary operator).
@@ -111,8 +110,8 @@ def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
     Y0[n:, 1:] = np.eye(n)
     if source is not None:
         # the source drives the particular column only
-        source_cols = np.zeros((len(source),) + Y0.shape)
-        source_cols[:, :, 0] = source
+        source_cols = np.zeros(np.shape(source)[:2] + Y0.shape)
+        source_cols[..., 0] = source
         source = source_cols
 
     path = _rk4_linear(M, Y0, grid, source)
@@ -138,8 +137,9 @@ def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
 def _ode_defect(grid, xi, eta, M: Schedule) -> float:
     """Max defect of the paths against the right-hand side, measured by a
     5-point (4th-order) finite-difference re-differencing on interior points.
-    Stencils whose window [t_{k-2}, t_{k+2}] touches a breakpoint of M are
-    skipped (the RK4 step ending on one already mixes pieces)."""
+    Stencils with a breakpoint of M strictly inside [t_{k-2}, t_{k+2}] are
+    skipped: every RK4 step reads one piece, so the path is smooth on each
+    closed piece but not across a breakpoint."""
     w = np.hstack([xi, eta])
     K = grid.size - 1
     if K < 4:
@@ -149,7 +149,7 @@ def _ode_defect(grid, xi, eta, M: Schedule) -> float:
     rhs = np.einsum("kij,kj->ki", sample(M, grid[2:K - 1]), w[2:K - 1])
     tol = 1e-12 * grid[-1]
     b = np.reshape(M.breakpoints, (-1, 1))
-    keep = ((grid[4:] < b - tol) | (grid[:-4] > b + tol)).all(axis=0)
+    keep = ((grid[4:] < b + tol) | (grid[:-4] > b - tol)).all(axis=0)
     defect = np.abs(dw - rhs)[keep]
     return float(defect.max()) if defect.size else float("nan")
 
@@ -264,23 +264,16 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
     SeffT = spec.terminal_effective_S
     n = spec.n
 
-    source_free = (all(np.all(M == 0) for _, M in Abar.values)
-                   and all(np.all(M == 0) for _, M in Seff.values)
+    drive = Schedule.combine(lambda Ab, Se: np.vstack([Ab, -Se]), Abar, Seff)
+    source_free = (all(np.all(D == 0) for _, D in drive.values)
                    and np.all(SeffT == 0))
-
-    stages = stage_points(grid)
-    Abar_stage = sample(Abar, stages)
-    Seff_stage = sample(Seff, stages)
 
     def inner_solve(z_path):
         if z_path is None:
             source = None
             cT = np.zeros(n)
         else:
-            z_stage = stage_values(grid, z_path)
-            source = np.concatenate(
-                [np.einsum("kij,kj->ki", Abar_stage, z_stage),
-                 -np.einsum("kij,kj->ki", Seff_stage, z_stage)], axis=1)
+            source = stage_source(drive, grid, z_path, Msched)
             cT = SeffT @ z_path[-1]
         return shoot_affine_tpbvp(M0, source, spec.x0_mean, spec.QT, cT, grid)
 

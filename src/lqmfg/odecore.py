@@ -12,10 +12,12 @@ Two forms of the same classical fixed-step RK4 scheme:
   pass, |||phi|||, and through `_sweep` the symmetric Riccati pair and
   both appendix routes.
 
-Also here: fundamental solutions of dphi/dt = A_t phi, stage values,
-matrix exponentials, principal PSD square roots, and spectral norms.
-Backward problems are integrated by the substitution tau = T - t, so each
-form has a single forward stepping loop.
+Only `_step_maps` decides which coefficients a step sees (the piece at
+its midpoint), and `stage_source` builds every z-driven source.  Also
+here: fundamental solutions of dphi/dt = A_t phi, matrix exponentials,
+principal PSD square roots, and spectral norms.  Backward problems are
+integrated by the substitution tau = T - t, so each form has a single
+forward stepping loop.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class IntegrationOverflow(RuntimeError):
 def rk4_integrate(field, y0, grid, max_abs: float | None = None) -> np.ndarray:
     """Classical 4th-order Runge-Kutta on a uniform grid.
 
-    field(t, y) evaluates the right-hand side; piecewise-constant
-    coefficients inside it are evaluated right-continuously at the stage
-    points t, t+h/2, t+h.  Returns the path with shape (len(grid), *y0.shape).
+    field(t, y) evaluates the right-hand side at t, t+h/2 and t+h (restart
+    at coefficient breakpoints to keep fourth order).  Returns the path with
+    shape (len(grid), *y0.shape).
     Raises IntegrationOverflow on non-finite values (or |y| > max_abs if set).
     """
     grid = np.asarray(grid, dtype=float)
@@ -102,19 +104,19 @@ def _step_maps(M: Schedule, grid, source=None,
                backward: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-step maps of the RK4 scheme for y' = M(t) y + s(t) on a uniform grid.
 
-    The scheme is `rk4_integrate` on field(t, y) = M.at(t) @ y + s(t),
-    rearranged (equal up to rounding) as y_{k+1} = E_k y_k + f_k with
+    Step k reads the one piece M_k of M in force at its midpoint and is
+    `rk4_integrate` on field(t, y) = M_k y + s(t), rearranged (equal up to
+    rounding) as y_{k+1} = E_k y_k + f_k with
 
-        E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M1,
-        K2 = M2 (I + h/2 K1),  K3 = M2 (I + h/2 K2),  K4 = M3 (I + h K3),
+        E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M_k,
+        K2 = M_k (I + h/2 K1),  K3 = M_k (I + h/2 K2),  K4 = M_k (I + h K3),
 
-    where M1, M2, M3 are M at the stage times t_k, t_k + h/2, t_k + h (the
-    floats `rk4_integrate` evaluates, looked up right-continuously), and
-    f_k is the same stage algebra applied to the stage sources.  source,
-    if given, holds s on stage_points(grid), shape (2K+1, d[, c]).  With
-    backward=True the maps step tau = T - t as `rk4_integrate_backward`
-    does: E_j, f_j take y(t_{K-j}) to y(t_{K-j-1}).  Returns E (K, d, d)
-    and f (K, d, c), or None without a source.
+    and f_k the same algebra on the step's sources, given as s at
+    (t_k, t_k + h/2, t_{k+1}), shape (K, 3, d[, c]).  A step with a
+    breakpoint strictly inside (only without a source) is the product of
+    its sub-step maps.  With backward=True the maps step tau = T - t as
+    `rk4_integrate_backward` does: E_j, f_j take y(t_{K-j}) to
+    y(t_{K-j-1}).  Returns E (K, d, d) and f (K, d, c), or None.
     """
     grid = np.asarray(grid, dtype=float)
     T = grid[-1]
@@ -124,28 +126,52 @@ def _step_maps(M: Schedule, grid, source=None,
     d = M.shape[0]
     h = taus[1:] - taus[:-1]
     half = h / 2.0
-    stage_t = np.concatenate([taus[:-1], taus[:-1] + half, taus[:-1] + h])
-    stages = sample(M, T - stage_t if backward else stage_t)
+    Mk = sample(M, T - (taus[:-1] + half) if backward else taus[:-1] + half)
     if backward:
-        stages = -stages
-    M1, M2, M3 = stages.reshape(3, K, d, d)
+        Mk = -Mk
     hk = h[:, None, None]
     hh = half[:, None, None]
     eye = np.eye(d)
-    K2 = M2 @ (eye + hh * M1)
-    K3 = M2 @ (eye + hh * K2)
-    K4 = M3 @ (eye + hk * K3)
-    E = eye + (hk / 6.0) * (M1 + 2.0 * K2 + 2.0 * K3 + K4)
+    K2 = Mk @ (eye + hh * Mk)
+    K3 = Mk @ (eye + hh * K2)
+    K4 = Mk @ (eye + hk * K3)
+    E = eye + (hk / 6.0) * (Mk + 2.0 * K2 + 2.0 * K3 + K4)
+    tol = 1e-9 * max(abs(T), 1.0)  # the breakpoint slack of build_grid
+    for b in M.breakpoints:
+        k = int(np.searchsorted(grid, b)) - 1
+        if 0 <= k < K and grid[k] + tol < b < grid[k + 1] - tol:
+            if source is not None:
+                raise ValueError(f"sourced system: breakpoint {b} off grid")
+            lo, hi = (_step_maps(M, part, backward=backward)[0][0]
+                      for part in ((grid[k], b), (b, grid[k + 1])))
+            E[K - 1 - k if backward else k] = lo @ hi if backward else hi @ lo
     if source is None:
         return E, None
-    s = np.asarray(source, dtype=float).reshape(2 * K + 1, d, -1)
+    s = np.asarray(source, dtype=float).reshape(K, 3, d, -1)
     if backward:
-        s = -s[::-1]
-    g1 = s[0:-1:2]
-    g2 = M2 @ (hh * g1) + s[1::2]
-    g3 = M2 @ (hh * g2) + s[1::2]
-    g4 = M3 @ (hk * g3) + s[2::2]
+        s = -s[::-1, ::-1]
+    g1 = s[:, 0]
+    g2 = Mk @ (hh * g1) + s[:, 1]
+    g3 = Mk @ (hh * g2) + s[:, 1]
+    g4 = Mk @ (hk * g3) + s[:, 2]
     return E, (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+
+
+def stage_source(D: Schedule, grid, z, M: Schedule) -> np.ndarray:
+    """D(t) z(t) at the RK4 stages (t_k, t_k + h/2, t_{k+1}) of each step,
+    shape (K, 3, d): D the step's piece, z its samples at the step ends and
+    at the midpoint one cubic spline per piece of M, the system z solves,
+    so that no spline spans a kink of z."""
+    grid = np.asarray(grid, dtype=float)
+    K = grid.size - 1
+    mid = np.linspace(grid[0], grid[-1], 2 * K + 1)[1::2]
+    cuts = np.unique([0, K, *np.searchsorted(mid, M.breakpoints)])
+    zs = np.empty((K, 3) + np.shape(z)[1:])
+    zs[:, 0], zs[:, 2] = z[:-1], z[1:]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        spline = CubicSpline(grid[lo:hi + 1], z[lo:hi + 1], axis=0)
+        zs[lo:hi, 1] = spline(mid[lo:hi])
+    return np.einsum("kij,ksj->ksi", sample(D, mid), zs)
 
 
 def _rk4_linear(M: Schedule, y0, grid, source=None,
@@ -189,7 +215,7 @@ def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
     (v1; v2) = B_k (0; zeta_{k+1}) + g_k, Gamma_k = W2 W1^-1 and
     zeta_k = v2 - Gamma_k v1.  Given x0, the forward pass
     x_{k+1} = W1_k^-1 (x_k - v1_k) runs on the same maps.  source holds s
-    on stage_points(grid), shape (2K+1, 2n).  Returns Gamma (K+1, n, n),
+    at the stages of each step, shape (K, 3, 2n).  Returns Gamma (K+1, n, n),
     zeta (K+1, n) (None without source and cT) and x (K+1, n) (None
     without x0).
     """
@@ -222,17 +248,6 @@ def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
         for k in range(K):
             x[k + 1] = W1inv[k] @ (x[k] - v1[k])
     return Gamma, zeta if affine else None, x
-
-
-def stage_points(grid: np.ndarray) -> np.ndarray:
-    """Grid points interleaved with midpoints: every time RK4 stages touch."""
-    grid = np.asarray(grid, dtype=float)
-    return np.linspace(grid[0], grid[-1], 2 * (grid.size - 1) + 1)
-
-
-def stage_values(grid: np.ndarray, values) -> np.ndarray:
-    """Cubic-spline values on stage_points(grid) of a path sampled on grid."""
-    return CubicSpline(grid, values, axis=0)(stage_points(grid))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
+from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text,
                      system_blocks, uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
 from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
-                      rk4_integrate_backward, stage_points, stage_values)
+                      rk4_integrate_backward, stage_source)
 
 BLOW_UP_LIMIT = 1e12
 
@@ -82,8 +82,7 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
     if z is not None:
         drive = Schedule.combine(lambda Ab, Qb, S: np.vstack([Ab, Qb @ S]),
                                  spec.Abar, spec.Qbar, spec.S)
-        source = np.einsum("kij,kj->ki", sample(drive, stage_points(grid)),
-                           stage_values(grid, z))
+        source = stage_source(drive, grid, z, equilibrium_system(spec)[0])
         cT = -spec.QbarT @ spec.ST @ z[-1]
     Xi, zeta, _ = _sweep(H, spec.QT + spec.QbarT, grid, source, cT)
     Xi = (Xi + Xi.transpose(0, 2, 1)) / 2.0
@@ -97,24 +96,32 @@ def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
         dGamma/dt = -Gamma (A+Abar) - A* Gamma + Gamma B R^-1 B* Gamma
                     - (Q + Seff),   Gamma_T = QT + SeffT.
 
-    A blow-up (entries beyond 1e12) is returned as a flagged path, since
-    the equation is not always solvable.
+    The integration restarts at every breakpoint, each run with the
+    constant blocks of its piece.  A blow-up (entries beyond 1e12) is
+    returned as a flagged path, since the equation is not always solvable.
     """
     if grid is None:
         grid = build_grid(spec, steps)
     blocks = system_blocks(spec)
+    mids = grid[:-1] + np.diff(grid) / 2.0
+    cuts = np.unique([0, grid.size - 1, *np.searchsorted(
+        mids, equilibrium_system(spec)[0].breakpoints)])
+    gamma = np.full((grid.size,) + blocks.GT.shape, np.nan)
+    gamma[-1] = blocks.GT
+    for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
+        A, Abar, BRB, QS = (S.at(mids[lo]) for S in (spec.A, spec.Abar,
+                                                     blocks.BRB, blocks.QS))
 
-    def field(t, G):
-        A = spec.A.at(t)
-        return (-G @ (A + spec.Abar.at(t)) - A.T @ G
-                + G @ blocks.BRB.at(t) @ G - blocks.QS.at(t))
+        def field(t, G, A=A, AA=A + Abar, BRB=BRB, QS=QS):
+            return -G @ AA - A.T @ G + G @ BRB @ G - QS
 
-    try:
-        path = rk4_integrate_backward(field, blocks.GT, grid,
-                                      max_abs=BLOW_UP_LIMIT)
-    except IntegrationOverflow as exc:
-        return RiccatiPath(grid=grid, gamma=exc.path, blow_up=exc.index)
-    return RiccatiPath(grid=grid, gamma=path)
+        try:
+            gamma[lo:hi + 1] = rk4_integrate_backward(
+                field, gamma[hi], grid[lo:hi + 1], max_abs=BLOW_UP_LIMIT)
+        except IntegrationOverflow as exc:
+            gamma[lo:hi + 1] = exc.path
+            return RiccatiPath(grid=grid, gamma=gamma, blow_up=lo + exc.index)
+    return RiccatiPath(grid=grid, gamma=gamma)
 
 
 def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,

@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("all N values must be at least 2")
         if self.paths < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         n = self.x0_mean.size

@@ -3,6 +3,8 @@ import pytest
 
 from lqmfg.cli import bundled_config
 from lqmfg.coeffs import ProblemSpec, Schedule, load_config
+from lqmfg.odecore import (IntegrationOverflow, rk4_integrate,
+                           rk4_integrate_backward)
 
 
 @pytest.fixture(scope="session")
@@ -25,18 +27,55 @@ def spec_benchmark() -> ProblemSpec:
     return load_config(bundled_config("benchmark_scalar"))
 
 
-def stage_lookup(grid: np.ndarray, values: np.ndarray):
-    """Callable t -> value backed by samples on the RK4 stage points of a
-    uniform grid (nearest lookup, exact on stage points): lets a field
-    integrated by `rk4_integrate` read a sampled source at its stages."""
-    t0 = float(grid[0])
-    h2 = (grid[1] - grid[0]) / 2.0
+def stage_reader(stages, backward: bool = False):
+    """Zero-argument callable handing out per-step stage values, shape
+    (K, 3, ...), in the order a field-call RK4 evaluates them: t_k, the
+    midpoint twice, then t_{k+1}, step after step (steps and stages
+    reversed when integrating backward).  A field reading it sees each
+    step's own sources, as the RK4 step maps do."""
+    s = np.asarray(stages, dtype=float)
+    if backward:
+        s = s[::-1, ::-1]
+    calls = iter(s[:, [0, 1, 1, 2]].reshape((-1,) + s.shape[2:]))
+    return lambda: next(calls)
 
-    def at(t: float) -> np.ndarray:
-        j = int(round((t - t0) / h2))
-        return values[min(max(j, 0), len(values) - 1)]
 
-    return at
+def rk4_by_piece(field_at, y0, grid, breakpoints=(), backward=False):
+    """`rk4_integrate` (or `rk4_integrate_backward`) restarted at every
+    breakpoint, each run with the field `field_at(c)` of the piece in
+    force at a time c inside it; a breakpoint strictly inside a grid step
+    splits that step into runs of its own.  Returns the path on the grid;
+    an overflow is re-raised with the grid index and the path so far."""
+    grid = np.asarray(grid, dtype=float)
+    tol = 1e-9 * max(grid[-1], 1.0)
+    runs, split = [[grid[0]]], False
+    for a, b in zip(grid[:-1], grid[1:]):
+        inside = sorted(c for c in breakpoints if a + tol < c < b - tol)
+        if len(runs[-1]) > 1 and (inside or split or any(
+                abs(c - a) <= tol for c in breakpoints)):
+            runs.append([a])
+        for c in inside:
+            runs[-1].append(c)
+            runs.append([c])
+        runs[-1].append(b)
+        split = bool(inside)
+    integrate = rk4_integrate_backward if backward else rk4_integrate
+    y = np.asarray(y0, dtype=float)
+    path = np.full((grid.size,) + y.shape, np.nan)
+    path[-1 if backward else 0] = y
+    for run in runs[::-1] if backward else runs:
+        run = np.array(run)
+        at = np.minimum(np.searchsorted(grid, run), grid.size - 1)
+        on = grid[at] == run
+        try:
+            seg = integrate(field_at((run[0] + run[1]) / 2.0), y, run)
+        except IntegrationOverflow as exc:
+            path[at[on]] = exc.path[on]
+            raise IntegrationOverflow(int(at[exc.index]), path,
+                                      exc.direction) from None
+        path[at[on]] = seg[on]
+        y = seg[0] if backward else seg[-1]
+    return path
 
 
 def scalar_spec(a=0.0, abar=0.0, b=1.0, sigma=0.0, q=1.0, qbar=0.0, r=1.0,

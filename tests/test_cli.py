@@ -320,6 +320,7 @@ def test_simulate_verb_small(tmp_path, capsys):
     (["--steps", "0"], None, "--steps"),
     ([], "0.25, 0.1", "x0_cov must be 1x1"),
     ([], "-0.25", "not positive semidefinite"),
+    (["--seed", "-5"], None, "seed must be non-negative"),
 ])
 def test_simulate_rejects_bad_input_before_simulating(tmp_path, capsys,
                                                       monkeypatch, flags,
@@ -352,6 +353,10 @@ def test_simulate_rejects_bad_input_before_simulating(tmp_path, capsys,
     ("appendix", "appendix_scalar", ["--steps", "-5"], "--steps"),
     ("scan", "benchmark_scalar", ["--tmax", "-1", "--steps", "4"], "--tmax"),
     ("scan", "benchmark_scalar", ["--tmax", "0"], "--tmax"),
+    ("solve", "benchmark_scalar", ["--tol", "-1"], "--tol"),
+    ("solve", "benchmark_scalar", ["--tol", "nan"], "--tol"),
+    ("solve", "benchmark_scalar", ["--tol", "0"], "--tol"),
+    ("solve", "benchmark_scalar", ["--tol", "inf"], "--tol"),
 ])
 def test_bad_steps_and_horizon_exit_1_before_solving(tmp_path, capsys,
                                                      monkeypatch, verb,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from conftest import random_contractive_scalar_spec, scalar_spec, stage_lookup
+from conftest import random_contractive_scalar_spec, scalar_spec, stage_reader
 from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
 from lqmfg.conditions import (AppendixParams, _strict_less_one, appendix_adjoint_route,
                               appendix_feedback_condition, appendix_feedback_riccati,
@@ -337,10 +337,10 @@ def test_adjoint_route_mean_system_residual_small():
 def _appendix_oracle(p, grid):
     """(Pi, P, rho, zbar) by field-call RK4 on the nonlinear Riccati and
     offset equations: Pi, P and rho backward, then zbar forward reading
-    P and rho at the RK4 stage points.  An independent route to what
+    P and rho at each step's stages.  An independent route to what
     `odecore._sweep` gives both appendix routes."""
     from lqmfg.odecore import (rk4_integrate, rk4_integrate_backward,
-                               stage_values)
+                               stage_source)
 
     k2 = p.b ** 2 / p.r
 
@@ -352,11 +352,14 @@ def _appendix_oracle(p, grid):
                          -(p.a - k2 * P) * rho + p.gamma * p.eta])
 
     pi, P, rho = rk4_integrate_backward(field, np.zeros(3), grid).T
-    P_at = stage_lookup(grid, stage_values(grid, P))
-    rho_at = stage_lookup(grid, stage_values(grid, rho))
-    zbar = rk4_integrate(
-        lambda t, z: (p.a + p.alpha) * z - k2 * (P_at(t) * z + rho_at(t)),
-        np.array(0.0), grid)
+    eye = Schedule.constant(np.eye(2))
+    offsets = stage_reader(stage_source(eye, grid, np.stack([P, rho], 1), eye))
+
+    def mean_field(t, z):
+        P_t, rho_t = offsets()
+        return (p.a + p.alpha) * z - k2 * (P_t * z + rho_t)
+
+    zbar = rk4_integrate(mean_field, np.array(0.0), grid)
     return pi, P, rho, zbar
 
 

@@ -140,11 +140,10 @@ def test_scan_time_varying_falls_back_to_integration():
         x0_mean=base.x0_mean, delta=base.delta)
     scan = existence_scan(piecewise, 1.0, 400)
     assert scan.det22[0] == 1.0
-    # strictly before the switch the constant-coefficient formula applies;
-    # the step ending at the breakpoint already sees the new piece at its
-    # last stage (right-continuous evaluation), so exclude t = 0.5 itself
+    # up to and including the switch at t = 0.5 the constant-coefficient
+    # scan applies: every step reads the one piece in force inside it
     constant = existence_scan(base, 0.5, 200)
-    assert np.max(np.abs(scan.det22[:200] - constant.det22[:200])) < 1e-8
+    assert np.max(np.abs(scan.det22[:201] - constant.det22)) < 1e-8
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
@@ -194,13 +193,17 @@ def test_ode_residual_scales_fourth_order(spec_benchmark):
     res_coarse = solve_equilibrium_shooting(spec_benchmark, steps=250).ode_residual
     res_fine = solve_equilibrium_shooting(spec_benchmark, steps=500).ode_residual
     assert res_fine <= res_coarse / 8.0
-    # piecewise: stencils touching a breakpoint are skipped, so the
-    # residual converges instead of measuring the coefficient jump
+    # piecewise: stencils with a breakpoint strictly inside are skipped,
+    # so the residual converges instead of measuring the coefficient jump;
+    # the fixed point, whose z is splined piece by piece, converges alike
     spec = _piecewise_2d_spec()
-    coarse = solve_equilibrium_shooting(spec, steps=200).ode_residual
-    fine = solve_equilibrium_shooting(spec, steps=400).ode_residual
-    assert 0.0 < fine <= coarse / 8.0
-    assert fine < 1e-8
+    for solve in (solve_equilibrium_shooting,
+                  lambda spec, steps: fixed_point_iterate(spec, steps=steps,
+                                                          tol=1e-13)):
+        coarse = solve(spec, steps=200).ode_residual
+        fine = solve(spec, steps=400).ode_residual
+        assert 0.0 < fine <= coarse / 8.0
+        assert fine < 1e-8
 
 
 def test_boundary_identity_on_success(spec_benchmark):

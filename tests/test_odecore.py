@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stage_lookup
+from conftest import rk4_by_piece, stage_reader
 from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
-                           _rk4_linear, _sweep, fundamental_solution, inv_sqrt,
+                           _rk4_linear, _step_maps, _sweep,
+                           fundamental_solution, inv_sqrt,
                            matrix_exponential, psd_sqrt, rk4_integrate,
                            rk4_integrate_backward, spectral_norm)
 from lqmfg.riccati import solve_nonsymmetric_radon
@@ -70,16 +71,16 @@ def test_rk4_overflow_reports_first_bad_index():
 
 
 @st.composite
-def linear_problems(draw):
-    """A piecewise M (n in 1..3) with breakpoints on grid points, off the
-    grid and at a step end t_k + h as RK4 computes it, a grid, a vector or
-    matrix start value and a source on the RK4 stage points."""
+def linear_problems(draw, off_grid=True):
+    """A piecewise M (n in 1..3) with breakpoints on grid points, at a
+    step end t_k + h as RK4 computes it and, with off_grid, inside a step;
+    a grid, a vector or matrix start value and per-step stage sources."""
     n = draw(st.sampled_from([1, 2, 3]))
     K = draw(st.integers(4, 24))
     grid = uniform_grid(draw(st.sampled_from([0.3, 1.0, 1.7])), K)
     starts = {0.0}
-    for kind in draw(st.lists(st.sampled_from(["on", "off", "end"]),
-                              max_size=3)):
+    kinds = ["on", "off", "end"] if off_grid else ["on", "end"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
         k = draw(st.integers(1, K - 1))
         h = grid[k] - grid[k - 1]
         if kind == "on":
@@ -93,15 +94,15 @@ def linear_problems(draw):
                             for t in sorted(starts)])
     cols = draw(st.sampled_from([None, 1, 3]))
     y0 = rng.normal(size=(n,) if cols is None else (n, cols))
-    source = rng.normal(size=(2 * K + 1,) + y0.shape)
+    source = rng.normal(size=(K, 3) + y0.shape)
     return M, grid, y0, source
 
 
-def _field(M, grid, source):
-    if source is None:
-        return lambda t, y: M.at(t) @ y
-    stage = stage_lookup(grid, source)
-    return lambda t, y: M.at(t) @ y + stage(t)
+def _oracle(M, grid, y0, source=None, backward=False):
+    """RK4 by field calls, restarted at every breakpoint of M."""
+    read = (lambda: 0.0) if source is None else stage_reader(source, backward)
+    return rk4_by_piece(lambda c: (lambda t, y, P=M.at(c): P @ y + read()),
+                        y0, grid, M.breakpoints, backward)
 
 
 def _assert_close(path, reference):
@@ -111,14 +112,19 @@ def _assert_close(path, reference):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(linear_problems(), st.booleans(), st.booleans())
-def test_linear_propagator_matches_rk4(problem, with_source, backward):
-    M, grid, y0, source = problem
+@given(st.data(), st.booleans(), st.booleans())
+def test_linear_propagator_matches_rk4(data, with_source, backward):
+    M, grid, y0, source = data.draw(linear_problems(off_grid=not with_source))
     source = source if with_source else None
-    integrate = rk4_integrate_backward if backward else rk4_integrate
-    reference = integrate(_field(M, grid, source), y0, grid)
     _assert_close(_rk4_linear(M, y0, grid, source, backward=backward),
-                  reference)
+                  _oracle(M, grid, y0, source, backward))
+
+
+def test_linear_propagator_rejects_source_with_off_grid_breakpoint():
+    M = Schedule.piecewise([(0.0, [[1.0]]), (0.55, [[2.0]])])
+    grid = uniform_grid(1.0, 10)
+    with pytest.raises(ValueError, match="off grid"):
+        _rk4_linear(M, np.ones(1), grid, np.zeros((10, 3, 1)))
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -127,22 +133,23 @@ def test_linear_propagator_left_multiplied_form(problem):
     # dPsi/dt = -Psi M, Psi(T) = I, propagated as its transpose
     M, grid, _, _ = problem
     eye = np.eye(M.shape[0])
-    reference = rk4_integrate_backward(lambda t, P: -P @ M.at(t), eye, grid)
+    reference = rk4_by_piece(lambda c: (lambda t, P, A=M.at(c): -P @ A),
+                             eye, grid, M.breakpoints, backward=True)
     Psi = _rk4_linear(M.map(lambda A: -A.T), eye, grid, backward=True)
     _assert_close(Psi.transpose(0, 2, 1), reference)
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(linear_problems(), st.booleans(), st.data())
+@given(linear_problems(off_grid=False), st.booleans(), st.data())
 def test_linear_propagator_overflow_index_matches_rk4(problem, backward,
                                                       data):
     M, grid, y0, source = problem
-    j = data.draw(st.integers(0, source.shape[0] - 1))
-    source[j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-    integrate = rk4_integrate_backward if backward else rk4_integrate
+    k = data.draw(st.integers(0, source.shape[0] - 1))
+    j = data.draw(st.integers(0, 2))
+    source[k, j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     with np.errstate(all="ignore"):
         with pytest.raises(IntegrationOverflow) as ref:
-            integrate(_field(M, grid, source), y0, grid)
+            _oracle(M, grid, y0, source, backward)
         with pytest.raises(IntegrationOverflow) as new:
             _rk4_linear(M, y0, grid, source, backward=backward)
     index = new.value.index
@@ -154,6 +161,55 @@ def test_linear_propagator_overflow_index_matches_rk4(problem, backward,
     finite = np.isfinite(ref.value.path)
     assert np.array_equal(np.isfinite(new.value.path), finite)
     _assert_close(new.value.path[finite], ref.value.path[finite])
+
+
+def _taylor4(A):
+    """The RK4 step map of y' = A y over one step: exp(A) to 4th order."""
+    eye = np.eye(A.shape[0])
+    return eye + A @ (eye + A @ (eye + A @ (eye + A / 4.0) / 3.0) / 2.0)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_step_maps_split_a_step_at_two_inner_breakpoints(backward):
+    # the middle step of [0, 0.3] holds breakpoints at 0.13 and 0.17:
+    # its map is the product of the three sub-step maps, each the 4th
+    # order Taylor polynomial of the exact exp of its piece
+    rng = np.random.default_rng(11)
+    P = [rng.normal(size=(3, 3)) for _ in range(3)]
+    M = Schedule.piecewise(zip([0.0, 0.13, 0.17], P))
+    grid = uniform_grid(0.3, 3)
+    E, _ = _step_maps(M, grid, backward=backward)
+    sign = -1.0 if backward else 1.0
+    subs = [(P[0], 0.03), (P[1], 0.04), (P[2], 0.03)]
+    if backward:
+        subs.reverse()
+    taylor, exact = np.eye(3), np.eye(3)
+    for A, tau in subs:
+        taylor = _taylor4(sign * tau * A) @ taylor
+        exact = matrix_exponential(sign * tau * A) @ exact
+    assert np.max(np.abs(E[1] - taylor)) < 1e-14
+    assert np.max(np.abs(E[1] - exact)) < 1e-6
+    for k, A in [(0, P[0]), (2, P[2])]:
+        j = 2 - k if backward else k
+        assert np.max(np.abs(E[j] - _taylor4(sign * 0.1 * A))) < 1e-14
+
+
+def test_fundamental_solution_off_grid_breakpoints_fourth_order():
+    # two breakpoints inside one step of every grid; phi(1, 0) against
+    # the exact product of piece exponentials
+    rng = np.random.default_rng(12)
+    P = [rng.normal(scale=0.8, size=(2, 2)) for _ in range(3)]
+    starts = [0.0, 0.4005, 0.402]
+    M = Schedule.piecewise(zip(starts, P))
+    exact = (matrix_exponential(0.598 * P[2])
+             @ matrix_exponential(0.0015 * P[1])
+             @ matrix_exponential(0.4005 * P[0]))
+    errors = [np.max(np.abs(fundamental_solution(
+        M, 0.0, uniform_grid(1.0, K)).samples[-1] - exact))
+              for K in (50, 100, 200, 400)]
+    assert errors[0] < 1e-6
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 12.0
 
 
 @pytest.mark.parametrize("name", ["spec_ex1", "spec_ex2", "spec_classical"])

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_classical_spec, scalar_spec, stage_lookup
-from lqmfg.coeffs import ProblemSpec, build_grid, uniform_grid
-from lqmfg.fbsolver import refine_singular_horizon, solve_equilibrium_shooting
+from conftest import (random_classical_spec, rk4_by_piece, scalar_spec,
+                      stage_reader)
+from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
+from lqmfg.fbsolver import (fixed_point_iterate, refine_singular_horizon,
+                            solve_equilibrium_shooting)
 from lqmfg.riccati import (BoundaryOperatorSingular, DistinctRootsViolated,
                            riccati_csv, solve_1d_closed_form,
                            solve_nonsymmetric_direct, solve_nonsymmetric_radon,
@@ -221,33 +227,39 @@ def test_riccati_csv_shape(spec_benchmark):
 
 def _pair_oracle(spec, grid, z=None):
     """(Xi, zeta) by backward RK4 on the nonlinear Riccati field and the
-    zeta equation zeta' = -A* zeta + Xi G zeta + (Qbar S - Xi Abar) z, with
-    z read at the RK4 stage points: an independent route to the pair that
-    `solve_symmetric` takes from the Hamiltonian step maps."""
-    from lqmfg.coeffs import system_blocks
-    from lqmfg.odecore import rk4_integrate_backward, stage_values
+    zeta equation zeta' = -A* zeta + Xi G zeta + (Qbar S - Xi Abar) z,
+    restarted at every breakpoint with z read at each step's stages: an
+    independent route to the pair that `solve_symmetric` takes from the
+    Hamiltonian step maps."""
+    from lqmfg.coeffs import Schedule, system_blocks
+    from lqmfg.fbsolver import equilibrium_system
+    from lqmfg.odecore import stage_source
 
     n = spec.n
     BRB = system_blocks(spec).BRB
-    z_fn = (stage_lookup(grid, stage_values(grid, z)) if z is not None
-            else lambda t: np.zeros(n))
+    M = equilibrium_system(spec)[0]
+    z_at = (lambda: np.zeros(n)) if z is None else stage_reader(
+        stage_source(Schedule.constant(np.eye(n)), grid, z, M), backward=True)
 
-    def field(t, y):
-        Xi, zeta = y[:, :n], y[:, n]
-        A, G = spec.A.at(t), BRB.at(t)
-        out = np.empty_like(y)
-        out[:, :n] = (-Xi @ A - A.T @ Xi + Xi @ G @ Xi
-                      - spec.Q.at(t) - spec.Qbar.at(t))
-        out[:, n] = (-A.T @ zeta + Xi @ G @ zeta
-                     + (spec.Qbar.at(t) @ spec.S.at(t)
-                        - Xi @ spec.Abar.at(t)) @ z_fn(t))
-        return out
+    def field_at(c):
+        A, G, Abar = spec.A.at(c), BRB.at(c), spec.Abar.at(c)
+        QQ, QS = spec.Q.at(c) + spec.Qbar.at(c), spec.Qbar.at(c) @ spec.S.at(c)
+
+        def field(t, y):
+            Xi, zeta = y[:, :n], y[:, n]
+            out = np.empty_like(y)
+            out[:, :n] = -Xi @ A - A.T @ Xi + Xi @ G @ Xi - QQ
+            out[:, n] = (-A.T @ zeta + Xi @ G @ zeta
+                         + (QS - Xi @ Abar) @ z_at())
+            return out
+
+        return field
 
     yT = np.zeros((n, n + 1))
     yT[:, :n] = spec.QT + spec.QbarT
     if z is not None:
         yT[:, n] = -spec.QbarT @ spec.ST @ z[-1]
-    path = rk4_integrate_backward(field, yT, grid)
+    path = rk4_by_piece(field_at, yT, grid, M.breakpoints, backward=True)
     return path[:, :, :n], path[:, :, n]
 
 
@@ -301,9 +313,10 @@ def test_symmetric_pair_matches_nonlinear_oracle_piecewise():
         spec = _random_coupled_spec(rng, 2, breaks=breaks)
         grid = build_grid(spec, 400)
         z = np.stack([np.sin(grid), 1.0 - grid], axis=1)
-        Xi_ref, _ = _pair_oracle(spec, grid, z)
+        Xi_ref, zeta_ref = _pair_oracle(spec, grid, z)
         pair = solve_symmetric(spec, grid, z=z)
-        assert np.max(np.abs(pair.gamma - Xi_ref)) < 1e-6
+        assert np.max(np.abs(pair.gamma - Xi_ref)) < 1e-8
+        assert np.max(np.abs(pair.aux - zeta_ref)) < 1e-8
 
 
 def test_symmetric_long_horizon_classical():
@@ -322,3 +335,58 @@ def test_symmetric_long_horizon_classical():
     assert np.linalg.eigvalsh(Xi).min() > -1e-9
     Xi_ref, _ = _pair_oracle(spec, grid)
     assert np.max(np.abs(Xi - Xi_ref)) < 1e-8 * (1.0 + np.max(np.abs(Xi)))
+
+
+LATTICE = 8  # breakpoints sit on build_grid(spec, LATTICE) points
+
+
+def _coupled(spec, c):
+    """spec with its mean-field terms Abar, Qbar and QbarT scaled by c."""
+    return replace(spec, Abar=spec.Abar.map(lambda M: c * M),
+                   Qbar=spec.Qbar.map(lambda M: c * M), QbarT=c * spec.QbarT)
+
+
+@st.composite
+def piecewise_coupled_specs(draw):
+    """n in {1, 2, 3}, A, Q and Qbar switching at 1-3 breakpoints on the
+    points of an 8-step grid, mean-field coupling weak enough for the
+    fixed-point iteration to contract."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    T = draw(st.sampled_from([0.5, 0.8, 1.2]))
+    idx = draw(st.lists(st.integers(1, LATTICE - 1), min_size=1, max_size=3,
+                        unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    breaks = tuple(T * i / LATTICE for i in sorted(idx))
+    return _coupled(_random_coupled_spec(rng, n, T, breaks), 0.15)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(piecewise_coupled_specs())
+def test_piecewise_cross_route_identities(spec):
+    # shooting = fixed point, eta = Gamma xi, Radon = direct, and Gamma = Xi
+    # without the mean-field terms; every piece spans 16 steps or more
+    grid = build_grid(spec, 16 * LATTICE)
+    shoot = solve_equilibrium_shooting(spec, grid)
+    fp = fixed_point_iterate(spec, grid, tol=1e-12)
+    assert np.max(np.abs(fp.xi - shoot.xi)) < 1e-8
+    assert np.max(np.abs(fp.eta - shoot.eta)) < 1e-8
+    radon = solve_nonsymmetric_radon(spec, grid)
+    scale = 1.0 + np.max(np.abs(radon.gamma))
+    gamma_xi = np.einsum("kij,kj->ki", radon.gamma, shoot.xi)
+    assert np.max(np.abs(shoot.eta - gamma_xi)) < 1e-12 * scale
+    direct = solve_nonsymmetric_direct(spec, grid)
+    assert np.max(np.abs(radon.gamma - direct.gamma)) < 1e-6 * scale
+    classical = _coupled(spec, 0.0)
+    Xi = solve_symmetric(classical, grid).gamma
+    Gamma = solve_nonsymmetric_radon(classical, grid).gamma
+    assert np.max(np.abs(Gamma - Xi)) < 1e-9 * scale
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(piecewise_coupled_specs())
+def test_piecewise_shooting_is_fourth_order(spec):
+    ref = solve_equilibrium_shooting(spec, build_grid(spec, 32 * LATTICE)).xi
+    errors = [np.max(np.abs(solve_equilibrium_shooting(
+        spec, build_grid(spec, K)).xi - ref[::32 * LATTICE // K]))
+              for K in (2 * LATTICE, 4 * LATTICE)]
+    assert errors[0] / errors[1] >= 12.0
