@@ -12,12 +12,11 @@ Two forms of the same classical fixed-step RK4 scheme:
   pass, |||phi|||, and through `_sweep` the symmetric Riccati pair and
   both appendix routes.
 
-Only `_step_maps` decides which coefficients a step sees (the piece at
-its midpoint), and `stage_source` builds every z-driven source.  Also
-here: fundamental solutions of dphi/dt = A_t phi, matrix exponentials,
-principal PSD square roots, and spectral norms.  Backward problems are
-integrated by the substitution tau = T - t, so each form has a single
-forward stepping loop.
+Only `step_pieces` decides which piece of the coefficients a step reads.
+Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
+matrix exponentials, principal PSD square roots, and spectral norms.
+Backward problems are integrated by the substitution tau = T - t, so
+each form has a single forward stepping loop.
 """
 
 from __future__ import annotations
@@ -113,8 +112,9 @@ def _step_maps(M: Schedule, grid, source=None,
 
     and f_k the same algebra on the step's sources, given as s at
     (t_k, t_k + h/2, t_{k+1}), shape (K, 3, d[, c]).  A step with a
-    breakpoint strictly inside (only without a source) is the product of
-    its sub-step maps.  With backward=True the maps step tau = T - t as
+    breakpoint strictly inside has E_k the product of its sub-step maps
+    (f_k keeps the midpoint piece: a sourced solve is first order there).
+    With backward=True the maps step tau = T - t as
     `rk4_integrate_backward` does: E_j, f_j take y(t_{K-j}) to
     y(t_{K-j-1}).  Returns E (K, d, d) and f (K, d, c), or None.
     """
@@ -125,12 +125,11 @@ def _step_maps(M: Schedule, grid, source=None,
     K = taus.size - 1
     d = M.shape[0]
     h = taus[1:] - taus[:-1]
-    half = h / 2.0
-    Mk = sample(M, T - (taus[:-1] + half) if backward else taus[:-1] + half)
+    Mk = sample(M, step_pieces(M, grid)[0])
     if backward:
-        Mk = -Mk
+        Mk = -Mk[::-1]
     hk = h[:, None, None]
-    hh = half[:, None, None]
+    hh = hk / 2.0
     eye = np.eye(d)
     K2 = Mk @ (eye + hh * Mk)
     K3 = Mk @ (eye + hh * K2)
@@ -140,8 +139,6 @@ def _step_maps(M: Schedule, grid, source=None,
     for b in M.breakpoints:
         k = int(np.searchsorted(grid, b)) - 1
         if 0 <= k < K and grid[k] + tol < b < grid[k + 1] - tol:
-            if source is not None:
-                raise ValueError(f"sourced system: breakpoint {b} off grid")
             lo, hi = (_step_maps(M, part, backward=backward)[0][0]
                       for part in ((grid[k], b), (b, grid[k + 1])))
             E[K - 1 - k if backward else k] = lo @ hi if backward else hi @ lo
@@ -157,16 +154,21 @@ def _step_maps(M: Schedule, grid, source=None,
     return E, (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
 
 
+def step_pieces(M: Schedule, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The step midpoints of a uniform grid, where each step reads its piece
+    of M, and the cuts 0 < ... < K between runs of steps on one piece."""
+    mid = np.linspace(grid[0], grid[-1], 2 * grid.size - 1)[1::2]
+    return mid, np.unique([0, mid.size, *np.searchsorted(mid, M.breakpoints)])
+
+
 def stage_source(D: Schedule, grid, z, M: Schedule) -> np.ndarray:
     """D(t) z(t) at the RK4 stages (t_k, t_k + h/2, t_{k+1}) of each step,
     shape (K, 3, d): D the step's piece, z its samples at the step ends and
-    at the midpoint one cubic spline per piece of M, the system z solves,
-    so that no spline spans a kink of z."""
+    at the midpoint one cubic spline per run of `step_pieces` of M, the
+    system z solves, so that no spline spans a kink of z."""
     grid = np.asarray(grid, dtype=float)
-    K = grid.size - 1
-    mid = np.linspace(grid[0], grid[-1], 2 * K + 1)[1::2]
-    cuts = np.unique([0, K, *np.searchsorted(mid, M.breakpoints)])
-    zs = np.empty((K, 3) + np.shape(z)[1:])
+    mid, cuts = step_pieces(M, grid)
+    zs = np.empty((mid.size, 3) + np.shape(z)[1:])
     zs[:, 0], zs[:, 2] = z[:-1], z[1:]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         spline = CubicSpline(grid[lo:hi + 1], z[lo:hi + 1], axis=0)

@@ -25,7 +25,7 @@ from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text,
                      system_blocks, uniform_grid)
 from .fbsolver import COND_LIMIT, equilibrium_system
 from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
-                      rk4_integrate_backward, stage_source)
+                      rk4_integrate_backward, stage_source, step_pieces)
 
 BLOW_UP_LIMIT = 1e12
 
@@ -96,16 +96,14 @@ def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
         dGamma/dt = -Gamma (A+Abar) - A* Gamma + Gamma B R^-1 B* Gamma
                     - (Q + Seff),   Gamma_T = QT + SeffT.
 
-    The integration restarts at every breakpoint, each run with the
-    constant blocks of its piece.  A blow-up (entries beyond 1e12) is
+    The integration restarts at each run of `odecore.step_pieces`, with
+    the constant blocks of its piece.  A blow-up (entries beyond 1e12) is
     returned as a flagged path, since the equation is not always solvable.
     """
     if grid is None:
         grid = build_grid(spec, steps)
     blocks = system_blocks(spec)
-    mids = grid[:-1] + np.diff(grid) / 2.0
-    cuts = np.unique([0, grid.size - 1, *np.searchsorted(
-        mids, equilibrium_system(spec)[0].breakpoints)])
+    mids, cuts = step_pieces(equilibrium_system(spec)[0], grid)
     gamma = np.full((grid.size,) + blocks.GT.shape, np.nan)
     gamma[-1] = blocks.GT
     for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):

@@ -312,6 +312,21 @@ def test_simulate_verb_small(tmp_path, capsys):
     assert rows[-1][0] == "best_response"
 
 
+def test_simulate_with_breakpoint_off_the_euler_grid(tmp_path, capsys):
+    # A switches at 0.333, which no point of the default 100-step grid hits
+    config = tmp_path / "offgrid.cfg"
+    config.write_text(open(BENCH).read().replace(
+        "[A]\nconst = 0.2", "[A]\nat 0 = 0.2\nat 0.333 = -0.1"))
+    code = main(["simulate", "--config", str(config), "--N", "4,8,16",
+                 "--paths", "3", "--out", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    header, rows = read_rows(tmp_path / "rates.csv")
+    assert len(rows) == 3
+    header, rows = read_rows(tmp_path / "probe.csv")
+    assert rows[-1][0] == "best_response"
+    assert all(np.isfinite(float(row[1])) for row in rows)
+
+
 @pytest.mark.parametrize("flags, x0_cov, message", [
     (["--N", "4,8"], None, "at least 3 distinct"),
     (["--N", "1,4,8"], None, "at least 2"),

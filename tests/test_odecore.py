@@ -120,11 +120,22 @@ def test_linear_propagator_matches_rk4(data, with_source, backward):
                   _oracle(M, grid, y0, source, backward))
 
 
-def test_linear_propagator_rejects_source_with_off_grid_breakpoint():
-    M = Schedule.piecewise([(0.0, [[1.0]]), (0.55, [[2.0]])])
+@pytest.mark.parametrize("backward", [False, True])
+def test_step_maps_source_across_an_off_grid_breakpoint(backward):
+    # step 5 of 10 on [0, 1] holds the breakpoint 0.53: its E is the
+    # unsourced one (the sub-step product), its f that of the piece at its
+    # midpoint 0.55, as on every other step
+    M = Schedule.piecewise([(0.0, [[1.0]]), (0.53, [[2.0]])])
     grid = uniform_grid(1.0, 10)
-    with pytest.raises(ValueError, match="off grid"):
-        _rk4_linear(M, np.ones(1), grid, np.zeros((10, 3, 1)))
+    source = np.random.default_rng(5).normal(size=(10, 3, 1))
+    E, f = _step_maps(M, grid, source, backward)
+    assert np.array_equal(E, _step_maps(M, grid, backward=backward)[0])
+    late = slice(None, 5) if backward else slice(5, None)
+    early = slice(5, None) if backward else slice(None, 5)
+    for piece, steps in [(1.0, early), (2.0, late)]:
+        _, f_piece = _step_maps(Schedule.constant([[piece]]), grid, source,
+                                backward)
+        assert np.array_equal(f[steps], f_piece[steps])
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -390,3 +390,29 @@ def test_piecewise_shooting_is_fourth_order(spec):
         spec, build_grid(spec, K)).xi - ref[::32 * LATTICE // K]))
               for K in (2 * LATTICE, 4 * LATTICE)]
     assert errors[0] / errors[1] >= 12.0
+
+
+def test_sourced_routes_solve_off_grid_breakpoints():
+    # uniform grids that miss A's breakpoint 0.333, as the simulator builds
+    # them: shooting and Xi stay fourth order, while zeta and the fixed
+    # point, whose step across the breakpoint keeps the midpoint piece in
+    # its source term, converge at first order
+    spec = replace(_coupled(_random_coupled_spec(np.random.default_rng(8), 2,
+                                                 breaks=(0.5,)), 0.15),
+                   A=Schedule.piecewise([(0.0, [[0.2, 0.1], [-0.1, 0.3]]),
+                                         (0.333, [[-0.3, 0.2], [0.0, 0.1]])]))
+
+    def ends(K):
+        grid = uniform_grid(1.0, K)
+        xi = solve_equilibrium_shooting(spec, grid).xi
+        pair = solve_symmetric(spec, grid, z=xi)
+        fp = fixed_point_iterate(spec, grid, tol=1e-12)
+        return xi[-1], pair.gamma[0], pair.aux[0], fp.xi[-1]
+
+    ref = ends(6000)  # holds 0.333 on grid point 1998
+    errors = np.array([[np.max(np.abs(a - b)) for a, b in zip(ends(K), ref)]
+                       for K in (100, 200, 400)])
+    assert np.all(errors[:2, :2] < 1e-8)
+    assert np.all(errors[0, :2] / errors[1, :2] >= 12.0)
+    h = 1.0 / np.array([100, 200, 400])
+    assert np.all(errors[:, 2:] < 1e-3 * h[:, None])
