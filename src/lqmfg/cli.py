@@ -18,7 +18,8 @@ import numpy as np
 
 from . import conditions, fbsolver, mftype, riccati, simulator
 from .coeffs import (ConfigError, ProblemSpec, build_grid, config_sections,
-                     load_config, system_blocks, validate, _parse_matrix)
+                     load_config, system_blocks, uniform_grid, validate,
+                     _parse_matrix)
 from .conditions import AppendixParams
 from .fbsolver import NoConvergence, SingularShootingMatrix
 from .riccati import BoundaryOperatorSingular
@@ -145,7 +146,7 @@ def _cmd_riccati(args, out: Path) -> int:
             a=float(spec.A.at(0)[0, 0]), abar=float(spec.Abar.at(0)[0, 0]),
             b=float(spec.B.at(0)[0, 0]), r=float(spec.R.at(0)[0, 0]),
             q_plus_s=float(blocks.QS.at(0)[0, 0]),
-            qT_plus_sT=float(blocks.GT[0, 0]), T=spec.T, grid=grid)
+            qT_plus_sT=float(blocks.GT[0, 0]), grid=grid)
         _write(out, "riccati_closed_form.csv", riccati.riccati_csv(closed))
     radon = riccati.solve_nonsymmetric_radon(spec, grid)
     _write(out, "riccati_radon.csv", riccati.riccati_csv(radon))
@@ -253,7 +254,7 @@ def _cmd_simulate(args, out: Path) -> int:
 def _cmd_appendix(args, out: Path) -> int:
     params = _parse_appendix(args.config)
     steps = _steps(args, 2000)
-    rep = conditions.appendix_report(params, steps=steps)
+    rep = conditions.appendix_report(params, uniform_grid(params.T, steps))
     lines = [
         f"feedback-route contraction bound: lhs = {rep['feedback_lhs']:.6g}"
         " -> " + ("satisfied" if rep["feedback_satisfied"] else "violated"),

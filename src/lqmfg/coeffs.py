@@ -234,12 +234,13 @@ def _min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((M + M.T) / 2.0).min())
 
 
-def validate(spec: ProblemSpec, grid: np.ndarray | None = None) -> ValidationReport:
+def validate(spec: ProblemSpec) -> ValidationReport:
     """Check every spec invariant; violations are reported, never raised.
 
     Eigenvalue conditions (Q, Qbar PSD; R >= delta*I; terminal weights
-    PSD) are tested on each grid sample with slack 1e-10 on the smallest
-    eigenvalue.
+    PSD) are tested on each piece with slack 1e-10 on the smallest
+    eigenvalue; a schedule that fails is reported once, at the start of
+    its first failing piece.
     """
     report = ValidationReport()
     v = report.violations
@@ -282,18 +283,14 @@ def validate(spec: ProblemSpec, grid: np.ndarray | None = None) -> ValidationRep
     if v:
         return report  # definiteness checks need consistent shapes
 
-    if grid is None and spec.T > 0:
-        grid = build_grid(spec, 200)
-    if grid is not None:
-        for t in grid:
-            for name, floor in (("Q", 0.0), ("Qbar", 0.0), ("R", spec.delta)):
-                lam = _min_eig(getattr(spec, name).at(t))
-                if lam < floor - PSD_TOL:
-                    bound = "PSD fails" if floor == 0.0 else "R >= delta*I fails"
-                    v.append(
-                        f"{name} at t={t:g}: {bound} "
-                        f"(min eigenvalue {lam:.3e}, required >= {floor:g})")
-                    break  # one violation per coefficient is enough
+    for name, floor in (("Q", 0.0), ("Qbar", 0.0), ("R", spec.delta)):
+        for start, M in getattr(spec, name).values:
+            lam = _min_eig(M)
+            if lam < floor - PSD_TOL:
+                bound = "PSD fails" if floor == 0.0 else "R >= delta*I fails"
+                v.append(f"{name} at t={start:g}: {bound} "
+                         f"(min eigenvalue {lam:.3e}, required >= {floor:g})")
+                break  # one violation per coefficient is enough
     for name in ("QT", "QbarT"):
         lam = _min_eig(getattr(spec, name))
         if lam < -PSD_TOL:

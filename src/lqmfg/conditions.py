@@ -27,13 +27,13 @@ value is within 1e-9 of 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .coeffs import (ProblemSpec, Schedule, _min_eig, build_grid, csv_text,
-                     sample, system_blocks, uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, _min_eig, csv_text, sample,
+                     system_blocks, uniform_grid)
 from .odecore import (_rk4_linear, _sweep, inv_sqrt, psd_sqrt, spectral_norm,
                       spectral_norms)
 
@@ -196,8 +196,8 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
     return report
 
 
-def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
-                          steps: int = 400) -> ConditionReport:
+def compute_mainthm_norms(spec: ProblemSpec,
+                          grid: np.ndarray) -> ConditionReport:
     """The contraction condition
 
         sqrt(T) |||phi||| |||Abar||| (1 + |||Seff|||) + |||Seff||| < 1.
@@ -208,27 +208,18 @@ def compute_mainthm_norms(spec: ProblemSpec, grid: np.ndarray | None = None,
     the reason, never an exception.  The report's norms also decide the
     Riccati solvability criterion (`riccati_solvable_verdict`).
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     return _mainthm_norms(spec, grid, "mainthm", spec.Q, spec.QT,
                           system_blocks(spec).Seff, spec.terminal_effective_S)
 
 
-def check_shifted(spec: ProblemSpec, Qcal: Schedule,
-                  grid: np.ndarray | None = None,
-                  QcalT: np.ndarray | None = None,
-                  steps: int = 400) -> ConditionReport:
+def check_shifted(spec: ProblemSpec, Qcal: Schedule, grid: np.ndarray,
+                  QcalT: np.ndarray) -> ConditionReport:
     """The shifted condition: Q replaced by a caller-chosen PD weight Qcal
     and Seff replaced by Q + Seff - Qcal throughout.
 
-    QcalT is the terminal replacement weight; it defaults to the last
-    piece of Qcal.  With Qcal = Q (and QcalT = QT) this reduces exactly
-    to compute_mainthm_norms.
+    QcalT is the terminal replacement weight.  With Qcal = Q and
+    QcalT = QT this reduces exactly to compute_mainthm_norms.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
-    if QcalT is None:
-        QcalT = Qcal.at(grid[-1])
     lam_min = min(_min_eig(M) for _, M in Qcal.values)
     if lam_min <= 0:
         raise ValueError(
@@ -315,6 +306,10 @@ class AppendixParams:
             raise ValueError(f"r must be positive, got {self.r}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -328,8 +323,7 @@ class FeedbackRiccati:
 
 
 def appendix_feedback_riccati(p: AppendixParams,
-                              grid: np.ndarray | None = None,
-                              steps: int = 2000) -> FeedbackRiccati:
+                              grid: np.ndarray) -> FeedbackRiccati:
     """Feedback route: the positive Riccati solution of
 
         dPi/dt + 2a Pi - (b^2/r) Pi^2 + 1 = 0,  Pi_T = 0,
@@ -339,8 +333,6 @@ def appendix_feedback_riccati(p: AppendixParams,
     propagator Phi(t, tau) = exp(-int_tau^t (a - (b^2/r) Pi)), by the
     trapezoid rule.
     """
-    if grid is None:
-        grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
     H = Schedule.constant([[p.a, -k2], [-1.0, -p.a]])
     pi = _sweep(H, np.zeros((1, 1)), grid)[0][:, 0, 0]
@@ -348,9 +340,7 @@ def appendix_feedback_riccati(p: AppendixParams,
     return FeedbackRiccati(grid=grid, pi=pi, F=F)
 
 
-def appendix_feedback_condition(p: AppendixParams,
-                                grid: np.ndarray | None = None,
-                                steps: int = 2000) -> dict:
+def appendix_feedback_condition(p: AppendixParams, grid: np.ndarray) -> dict:
     """Numeric value of the feedback-route contraction bound
 
         sup_t int_0^t Phi(s,t) {|alpha| + (b^2/r) int_s^T Phi(s,tau)
@@ -360,8 +350,6 @@ def appendix_feedback_condition(p: AppendixParams,
     quantity |gamma| (1 - e^{-bT}).  The relaxation uses b Pi < 1, so it
     never exceeds the numeric value.
     """
-    if grid is None:
-        grid = uniform_grid(p.T, steps)
     ric = appendix_feedback_riccati(p, grid)
     F = ric.F
     g = np.abs(p.alpha) * ric.pi + np.abs(p.gamma)
@@ -401,8 +389,7 @@ class AdjointRouteReport:
 
 
 def appendix_adjoint_route(p: AppendixParams,
-                           grid: np.ndarray | None = None,
-                           steps: int = 2000) -> AdjointRouteReport:
+                           grid: np.ndarray) -> AdjointRouteReport:
     """Adjoint route: the nonsymmetric scalar Riccati pair
 
         dP/dt = -(2a+alpha) P + (b^2/r) P^2 - 1 + gamma,   P_T = 0,
@@ -421,8 +408,6 @@ def appendix_adjoint_route(p: AppendixParams,
     zbar(0) = 0, pbar(T) = 0.  One `odecore._sweep` of it gives P and rho,
     and zbar by its forward pass.
     """
-    if grid is None:
-        grid = uniform_grid(p.T, steps)
     k2 = p.b ** 2 / p.r
     H = Schedule.constant([[p.a + p.alpha, -k2], [-(1.0 - p.gamma), -p.a]])
     source = np.tile([0.0, p.gamma * p.eta], (grid.size - 1, 3, 1))
@@ -463,11 +448,10 @@ def appendix_adjoint_route(p: AppendixParams,
                               roots=roots)
 
 
-def appendix_report(p: AppendixParams, grid: np.ndarray | None = None,
-                    steps: int = 2000) -> dict:
+def appendix_report(p: AppendixParams, grid: np.ndarray) -> dict:
     """Side-by-side verdicts of the two conditions on the same model."""
-    feedback = appendix_feedback_condition(p, grid, steps)
-    adjoint = appendix_adjoint_route(p, grid, steps)
+    feedback = appendix_feedback_condition(p, grid)
+    adjoint = appendix_adjoint_route(p, grid)
     return {
         "feedback_lhs": feedback["lhs"],
         "feedback_satisfied": feedback["satisfied"],

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text, sample,
-                     system_blocks, uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, csv_text, sample, system_blocks,
+                     uniform_grid)
 from .odecore import _rk4_linear, fundamental_solution, stage_source
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
@@ -154,16 +154,14 @@ def _ode_defect(grid, xi, eta, M: Schedule) -> float:
     return float(defect.max()) if defect.size else float("nan")
 
 
-def solve_equilibrium_shooting(spec: ProblemSpec, grid: np.ndarray | None = None,
-                          steps: int = 2000) -> FBSolution:
+def solve_equilibrium_shooting(spec: ProblemSpec,
+                               grid: np.ndarray) -> FBSolution:
     """Solve the equilibrium two-point system by shooting.
 
     Raises SingularShootingMatrix when the boundary operator
     (QT+SeffT, -I) Phi(T,0) (O; I) has condition number above 1e12,
     the signature of a horizon where uniqueness fails.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     Msched, GT = equilibrium_system(spec)
     zero = np.zeros(spec.n)
     xi, eta, eta0, cond = shoot_affine_tpbvp(
@@ -245,9 +243,8 @@ def _aux_inner_system(spec: ProblemSpec) -> tuple[Schedule, Schedule, Schedule]:
     return M, spec.Abar, blocks.Seff
 
 
-def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
-                        steps: int = 2000, tol: float = 1e-10,
-                        max_iter: int = 60) -> FBSolution:
+def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,
+                        tol: float = 1e-10, max_iter: int = 60) -> FBSolution:
     """Solve the equilibrium system by iterating the map z -> xi.
 
     Each inner step solves the classical LQ two-point problem with source
@@ -257,8 +254,6 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray | None = None,
     contraction regime the iteration may diverge; that is reported as
     NoConvergence with the last ratio estimate.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     M0, Abar, Seff = _aux_inner_system(spec)
     Msched, GT = equilibrium_system(spec)
     SeffT = spec.terminal_effective_S

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text,
-                     system_blocks, uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, csv_text, system_blocks,
+                     uniform_grid)
 from .fbsolver import SingularShootingMatrix, shoot_affine_tpbvp
 
 DIFFER_RTOL = 1e-7
@@ -78,11 +78,8 @@ def mftype_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     return M, GT
 
 
-def solve_mftype_mean(spec: ProblemSpec, grid: np.ndarray | None = None,
-                      steps: int = 2000) -> MFTypeSolution:
+def solve_mftype_mean(spec: ProblemSpec, grid: np.ndarray) -> MFTypeSolution:
     """Shooting solve of the mean system; always well posed for valid specs."""
-    if grid is None:
-        grid = build_grid(spec, steps)
     Msched, GT = mftype_system(spec)
     try:
         ybar, pbar, _, _ = shoot_affine_tpbvp(

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, build_grid, csv_text,
-                     system_blocks, uniform_grid)
+from .coeffs import ProblemSpec, Schedule, csv_text, system_blocks
 from .fbsolver import COND_LIMIT, equilibrium_system
 from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
                       rk4_integrate_backward, stage_source, step_pieces)
@@ -62,8 +61,8 @@ class RiccatiPath:
     blow_up: int | None = None
 
 
-def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
-                    z=None, steps: int = 2000) -> RiccatiPath:
+def solve_symmetric(spec: ProblemSpec, grid: np.ndarray,
+                    z=None) -> RiccatiPath:
     """Symmetric Riccati pair of the auxiliary control problem.
 
     Xi (running weight Q + Qbar, terminal QT + QbarT) and, given a frozen
@@ -73,8 +72,6 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
     p(T) = (QT + QbarT) x(T) - QbarT ST z(T), by one `odecore._sweep` of
     its backward RK4 step maps from T.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     H = Schedule.combine(
         lambda A, BRB, Q, Qbar: np.block([[A, -BRB], [-(Q + Qbar), -A.T]]),
         spec.A, system_blocks(spec).BRB, spec.Q, spec.Qbar)
@@ -89,8 +86,8 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray | None = None,
     return RiccatiPath(grid=grid, gamma=Xi, aux=zeta)
 
 
-def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
-                              steps: int = 2000) -> RiccatiPath:
+def solve_nonsymmetric_direct(spec: ProblemSpec,
+                              grid: np.ndarray) -> RiccatiPath:
     """Backward integration of the nonsymmetric Riccati equation
 
         dGamma/dt = -Gamma (A+Abar) - A* Gamma + Gamma B R^-1 B* Gamma
@@ -100,8 +97,6 @@ def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
     the constant blocks of its piece.  A blow-up (entries beyond 1e12) is
     returned as a flagged path, since the equation is not always solvable.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     blocks = system_blocks(spec)
     mids, cuts = step_pieces(equilibrium_system(spec)[0], grid)
     gamma = np.full((grid.size,) + blocks.GT.shape, np.nan)
@@ -122,8 +117,8 @@ def solve_nonsymmetric_direct(spec: ProblemSpec, grid: np.ndarray | None = None,
     return RiccatiPath(grid=grid, gamma=gamma)
 
 
-def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
-                             steps: int = 2000) -> RiccatiPath:
+def solve_nonsymmetric_radon(spec: ProblemSpec,
+                             grid: np.ndarray) -> RiccatiPath:
     """Gamma through blocks of the fundamental solution (Radon's lemma):
 
         Gamma_t = -[(GT, -I) Phi(T,t) (O; I)]^-1 [(GT, -I) Phi(T,t) (I; O)]
@@ -133,8 +128,6 @@ def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
     dPsi*/dt = -M(t)* Psi*.  Raises BoundaryOperatorSingular at the first
     grid time where the inverted block is ill conditioned.
     """
-    if grid is None:
-        grid = build_grid(spec, steps)
     Msched, GT = equilibrium_system(spec)
     n = spec.n
     Psi = _rk4_linear(Msched.map(lambda M: -M.T), np.eye(2 * n), grid,
@@ -153,19 +146,17 @@ def solve_nonsymmetric_radon(spec: ProblemSpec, grid: np.ndarray | None = None,
 
 
 def solve_1d_closed_form(a: float, abar: float, b: float, r: float,
-                         q_plus_s: float, qT_plus_sT: float, T: float,
-                         grid: np.ndarray | None = None,
-                         steps: int = 2000) -> RiccatiPath:
+                         q_plus_s: float, qT_plus_sT: float,
+                         grid: np.ndarray) -> RiccatiPath:
     """Explicit scalar constant-coefficient solutions.
 
     For b = 0 the equation is linear: exponential in T-t when
     2a+abar != 0, affine otherwise.  For b != 0, with alpha >= 0 >= -beta
     the roots of q_plus_s + (2a+abar) g - (b^2/r) g^2 = 0, the rational
     formula is evaluated with exp(-(alpha+beta)(b^2/r)(T-t)) factored out
-    of the denominator so large horizons cannot overflow.
+    of the denominator so large horizons cannot overflow.  The horizon T
+    is the grid's last point.
     """
-    if grid is None:
-        grid = uniform_grid(T, steps)
     tau = grid[-1] - grid  # T - t
     two_a = 2.0 * a + abar
     GT = qT_plus_sT

@@ -342,8 +342,7 @@ def _mean_and_stderr(samples: np.ndarray):
     return mean, np.zeros_like(mean)
 
 
-def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
-               law: FeedbackLaw | None = None) -> RateReport:
+def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
     """Estimate E[sup_t ||y^i - yhat^i||^2] and the mean absolute realized
     cost gap for each N, with fitted log-log slopes.
 
@@ -357,10 +356,7 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig,
         raise ValueError("slope fit needs at least 3 distinct player counts")
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
-    if law is None:
-        law, _ = equilibrium_law(spec, grid)
-    else:
-        law = _law_on_grid(law, grid)
+    law, _ = equilibrium_law(spec, grid)
     co = _SampledCoeffs(spec, grid)
     xi = _euler_mean_path(spec, co, grid, law)
 

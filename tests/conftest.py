@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lqmfg.cli import bundled_config
-from lqmfg.coeffs import ProblemSpec, Schedule, load_config
+from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, load_config
 from lqmfg.odecore import (IntegrationOverflow, rk4_integrate,
                            rk4_integrate_backward)
 
@@ -137,7 +137,7 @@ def random_contractive_scalar_spec(rng: np.random.Generator) -> ProblemSpec:
         sT=1.0, qbarT=0.0, sigma=0.3, delta=0.25)
     for _ in range(40):
         spec = scalar_spec(abar=abar, qbar=qbar, **kwargs)
-        report = compute_mainthm_norms(spec, steps=160)
+        report = compute_mainthm_norms(spec, build_grid(spec, 160))
         verdict = report.verdicts["mainthm"]
         if verdict.status == "satisfied":
             return spec

@@ -79,7 +79,7 @@ def test_criterion_04_classical_reduction():
         grid = build_grid(spec, 800)
         sol = solve_equilibrium_shooting(spec, grid)
         assert sol.boundary_residual < 1e-8
-        report = compute_mainthm_norms(spec, steps=200)
+        report = compute_mainthm_norms(spec, build_grid(spec, 200))
         assert report.verdicts["mainthm"].status == "satisfied", report
         xi = solve_symmetric(spec, grid)
         gamma = solve_nonsymmetric_direct(spec, grid)
@@ -143,7 +143,7 @@ def test_criterion_06_closed_form_riccati_sweep():
         branch_counts[branch] += 1
         grid = uniform_grid(T, 2000)
         closed = solve_1d_closed_form(a=a, abar=abar, b=b, r=r, q_plus_s=qs,
-                                      qT_plus_sT=gT, T=T, grid=grid)
+                                      qT_plus_sT=gT, grid=grid)
         two_a, k2 = 2 * a + abar, b * b / r
 
         def field(t, g, two_a=two_a, k2=k2, qs=qs):

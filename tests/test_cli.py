@@ -299,6 +299,24 @@ def test_appendix_malformed_line_exits_1(tmp_path, capsys):
     assert not list(tmp_path.glob("appendix.*"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a", "nan"), ("b", "inf"), ("r", "inf"), ("alpha", "-inf"),
+    ("gamma", "inf"), ("eta", "nan"), ("T", "1e400"),
+])
+def test_appendix_non_finite_value_exits_1(tmp_path, capsys, key, value):
+    source = open(APPENDIX).read()
+    line = next(row for row in source.splitlines()
+                if row.startswith(f"{key} = "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(source.replace(f"\n{line}\n", f"\n{key} = {value}\n"))
+    code = main(["appendix", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and f"{key} must be finite" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("appendix.*"))
+
+
 def test_simulate_verb_small(tmp_path, capsys):
     code = main(["simulate", "--config", BENCH, "--N", "4,8,16",
                  "--paths", "3", "--steps", "10", "--seed", "5",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,18 @@ def test_validate_flags_indefinite_Q():
     spec = scalar_spec(q=-0.5)
     report = validate(spec)
     assert any(v.startswith("Q at") for v in report.violations)
+
+
+def test_validate_reports_each_failing_schedule_once():
+    # Q fails on the whole horizon and R < delta: one line each, Q first
+    report = validate(scalar_spec(q=-1.0, r=0.1, delta=0.5))
+    assert [v.split(":")[0] for v in report.violations] == ["Q at t=0",
+                                                            "R at t=0"]
+    # a Q that fails only on its second piece is reported at that start
+    switched = replace(scalar_spec(), Q=Schedule.piecewise(
+        [(0.0, [[1.0]]), (0.4, [[-2.0]])]))
+    report = validate(switched)
+    assert [v.split(":")[0] for v in report.violations] == ["Q at t=0.4"]
 
 
 def test_validate_counterexample_config(spec_ex1):

@@ -38,7 +38,7 @@ def test_L_large_for_example1(spec_ex1):
 
 def test_mainthm_trivially_satisfied_without_mean_field_terms():
     spec = scalar_spec(a=0.4, abar=0.0, qbar=2.0, s=1.0, sT=1.0, q=1.0)
-    report = compute_mainthm_norms(spec, steps=100)
+    report = compute_mainthm_norms(spec, build_grid(spec, 100))
     assert report.abar_norm == 0.0
     assert report.s_norm == 0.0
     assert report.mainthm_lhs == 0.0
@@ -48,7 +48,7 @@ def test_mainthm_trivially_satisfied_without_mean_field_terms():
 def test_mainthm_violated_when_s_norm_reaches_one():
     # Q = 1, Qbar = 4, S = 0: |||Seff||| = 4 >= 1 regardless of T and phi
     spec = scalar_spec(a=0.0, abar=0.0, q=1.0, qbar=4.0, s=0.0, qT=1.0)
-    report = compute_mainthm_norms(spec, steps=100)
+    report = compute_mainthm_norms(spec, build_grid(spec, 100))
     assert report.s_norm >= 1.0
     assert report.verdicts["mainthm"].status == "violated"
 
@@ -58,7 +58,7 @@ def test_mainthm_hand_computed_scalar_norms():
     # |||Abar||| = |c|, lhs = sqrt(T) sqrt(1+T) |c|
     c, T = 0.4, 1.5
     spec = scalar_spec(a=0.0, abar=c, q=1.0, qT=1.0, s=1.0, sT=1.0, T=T)
-    report = compute_mainthm_norms(spec, steps=300)
+    report = compute_mainthm_norms(spec, build_grid(spec, 300))
     assert abs(report.phi_norm - np.sqrt(1.0 + T)) < 1e-9
     assert abs(report.abar_norm - c) < 1e-12
     assert abs(report.mainthm_lhs - np.sqrt(T) * np.sqrt(1 + T) * c) < 1e-8
@@ -66,19 +66,19 @@ def test_mainthm_hand_computed_scalar_norms():
 
 def test_mainthm_undefined_for_singular_Q_with_mean_field():
     spec = scalar_spec(a=0.0, abar=0.5, q=0.0, qT=1.0)
-    report = compute_mainthm_norms(spec, steps=50)
+    report = compute_mainthm_norms(spec, build_grid(spec, 50))
     assert report.verdicts["mainthm"].status == "undefined"
     assert "positive definite" in report.verdicts["mainthm"].reason
 
 
 def test_mainthm_undefined_for_singular_QT_with_terminal_deviation():
     spec = scalar_spec(a=0.0, abar=0.1, q=1.0, qT=0.0, qbarT=1.0, sT=0.0)
-    report = compute_mainthm_norms(spec, steps=50)
+    report = compute_mainthm_norms(spec, build_grid(spec, 50))
     assert report.verdicts["mainthm"].status == "undefined"
 
 
 def test_mainthm_report_invariant(spec_benchmark):
-    r = compute_mainthm_norms(spec_benchmark, steps=200)
+    r = compute_mainthm_norms(spec_benchmark, build_grid(spec_benchmark, 200))
     recomputed = (np.sqrt(spec_benchmark.T) * r.phi_norm * r.abar_norm
                   * (1.0 + r.s_norm) + r.s_norm)
     assert abs(r.mainthm_lhs - recomputed) < 1e-12
@@ -89,16 +89,18 @@ def test_mainthm_lhs_monotone_in_horizon():
     for T in (0.25, 0.5, 1.0, 1.5):
         spec = scalar_spec(a=0.3, abar=0.4, q=1.0, qbar=0.5, s=0.5, sT=1.0,
                            qT=0.5, T=T)
-        values.append(compute_mainthm_norms(spec, steps=200).mainthm_lhs)
+        report = compute_mainthm_norms(spec, build_grid(spec, 200))
+        values.append(report.mainthm_lhs)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_mainthm_independent_of_control_coefficient(spec_benchmark):
-    base = compute_mainthm_norms(spec_benchmark, steps=150).mainthm_lhs
+    base = compute_mainthm_norms(
+        spec_benchmark, build_grid(spec_benchmark, 150)).mainthm_lhs
     scaled = scalar_spec(a=0.2, abar=0.3, b=7.0, sigma=0.4, q=1.0, qbar=0.5,
                          r=1.0, s=0.5, qT=0.5, sT=1.0, T=1.0, delta=0.5)
-    assert abs(compute_mainthm_norms(scaled, steps=150).mainthm_lhs
-               - base) < 1e-12
+    lhs = compute_mainthm_norms(scaled, build_grid(scaled, 150)).mainthm_lhs
+    assert abs(lhs - base) < 1e-12
 
 
 def test_strict_less_one_borderline_flag():
@@ -165,7 +167,7 @@ def test_shifted_positive_definite_weight_gives_zero_lhs():
                        qbarT=0.5, sT=0.0)
     Qcal = Schedule.constant([[0.3 + 1.0]])
     QcalT = spec.QT + spec.terminal_effective_S
-    report = check_shifted(spec, Qcal, QcalT=QcalT, steps=100)
+    report = check_shifted(spec, Qcal, build_grid(spec, 100), QcalT)
     assert report.mainthm_lhs == 0.0
     assert report.verdicts["shifted"].status == "satisfied"
 
@@ -182,7 +184,8 @@ def test_shifted_with_Q_reduces_to_mainthm(spec_benchmark):
 
 def test_shifted_rejects_singular_weight(spec_benchmark):
     with pytest.raises(ValueError, match="positive definite"):
-        check_shifted(spec_benchmark, Schedule.constant([[0.0]]), steps=50)
+        check_shifted(spec_benchmark, Schedule.constant([[0.0]]),
+                      build_grid(spec_benchmark, 50), np.zeros((1, 1)))
 
 
 def test_riccati_solvable_abar_zero_branch():
@@ -239,9 +242,10 @@ def test_condition_soundness_on_random_scalar_sweep():
     rng = np.random.default_rng(1234)
     for _ in range(8):
         spec = random_contractive_scalar_spec(rng)
-        sol = solve_equilibrium_shooting(spec, steps=400)
+        grid = build_grid(spec, 400)
+        sol = solve_equilibrium_shooting(spec, grid)
         assert sol.boundary_residual < 1e-8
-        fp = fixed_point_iterate(spec, steps=400, tol=1e-10, max_iter=80)
+        fp = fixed_point_iterate(spec, grid, tol=1e-10, max_iter=80)
         assert np.max(np.abs(fp.xi - sol.xi)) < 1e-6
 
 
@@ -278,7 +282,7 @@ def test_feedback_phi_table_properties():
 def test_feedback_condition_zero_sources():
     p = AppendixParams(a=0.3, b=1.0, r=1.0, alpha=0.0, gamma=0.0, eta=0.0,
                        T=1.0)
-    out = appendix_feedback_condition(p, steps=500)
+    out = appendix_feedback_condition(p, uniform_grid(p.T, 500))
     assert out["lhs"] == 0.0 and out["satisfied"]
 
 
@@ -287,7 +291,7 @@ def test_feedback_condition_close_to_relaxed_form_for_small_b():
     # value; for small b the two nearly coincide
     b, T = 0.1, 1.0
     p = AppendixParams(a=0.0, b=b, r=1.0, alpha=0.0, gamma=1.0, eta=0.0, T=T)
-    out = appendix_feedback_condition(p, steps=2000)
+    out = appendix_feedback_condition(p, uniform_grid(p.T, 2000))
     tg = np.linspace(0.0, T, 2001)
     closed = np.max(1.0 - np.exp(-b * tg) - 0.5 * np.exp(-b * (T - tg))
                     + 0.5 * np.exp(-b * (T + tg)))
@@ -298,7 +302,7 @@ def test_feedback_condition_close_to_relaxed_form_for_small_b():
 def test_appendix_conditions_disagree_on_documented_example():
     p = AppendixParams(a=0.0, b=1.0, r=1.0, alpha=0.0, gamma=-5.0, eta=1.0,
                        T=10.0)
-    rep = appendix_report(p, steps=3000)
+    rep = appendix_report(p, uniform_grid(p.T, 3000))
     assert rep["adjoint_gamma_condition"]            # gamma <= 1 holds
     assert rep["feedback_simplified"] >= 1.0           # |gamma|(1-e^-bT) ~ 5
     assert not rep["feedback_simplified_satisfied"]
@@ -385,6 +389,6 @@ def test_appendix_routes_match_field_oracle():
 def test_adjoint_route_accuracy_on_documented_example(steps):
     p = AppendixParams(a=0.0, b=1.0, r=1.0, alpha=0.0, gamma=-5.0, eta=1.0,
                        T=10.0)
-    rep = appendix_adjoint_route(p, steps=steps)
+    rep = appendix_adjoint_route(p, uniform_grid(p.T, steps))
     assert rep.pbar_residual < 1e-8
     assert rep.closed_form_error < 5e-10

@@ -52,7 +52,7 @@ def with_x0(spec: ProblemSpec, x0) -> ProblemSpec:
 
 def test_zero_initial_mean_gives_zero_solution(spec_benchmark):
     spec = with_x0(spec_benchmark, [0.0])
-    sol = solve_equilibrium_shooting(spec, steps=200)
+    sol = solve_equilibrium_shooting(spec, build_grid(spec, 200))
     assert np.all(sol.xi == 0.0)
     assert np.all(sol.eta == 0.0)
 
@@ -61,7 +61,7 @@ def test_example1_solvable_at_half_horizon(spec_ex1):
     # the scan oracle shows no det Phi22 zero before 0.83, so T = 0.5 is fine
     scan = existence_scan(spec_ex1, 0.83, 830)
     assert not scan.sign_change_brackets
-    sol = solve_equilibrium_shooting(spec_ex1)
+    sol = solve_equilibrium_shooting(spec_ex1, build_grid(spec_ex1, 2000))
     assert sol.boundary_residual < 1e-8
     assert np.allclose(sol.xi[0], spec_ex1.x0_mean)
 
@@ -158,13 +158,15 @@ def test_shooting_raises_at_singular_horizon(spec_ex1):
     T0 = refine_singular_horizon(spec_ex1, T0_BRACKET, tol=1e-12)
     assert 0.83 < T0 < 0.86
     with pytest.raises(SingularShootingMatrix):
-        solve_equilibrium_shooting(with_horizon(spec_ex1, T0), steps=500)
+        spec = with_horizon(spec_ex1, T0)
+        solve_equilibrium_shooting(spec, build_grid(spec, 500))
 
 
 def test_fixed_point_converges_immediately_without_sources(spec_classical):
-    sol = fixed_point_iterate(spec_classical, steps=500)
+    grid = build_grid(spec_classical, 500)
+    sol = fixed_point_iterate(spec_classical, grid)
     assert sol.iterations == 1
-    shoot = solve_equilibrium_shooting(spec_classical, steps=500)
+    shoot = solve_equilibrium_shooting(spec_classical, grid)
     assert np.max(np.abs(sol.xi - shoot.xi)) < 1e-9
 
 
@@ -179,35 +181,40 @@ def test_fixed_point_agrees_with_shooting(spec_benchmark):
 def test_fixed_point_fails_at_singular_horizon(spec_ex1):
     T0 = refine_singular_horizon(spec_ex1, T0_BRACKET, tol=1e-12)
     with pytest.raises(NoConvergence):
-        fixed_point_iterate(with_horizon(spec_ex1, T0), steps=400, max_iter=30)
+        spec = with_horizon(spec_ex1, T0)
+        fixed_point_iterate(spec, build_grid(spec, 400), max_iter=30)
 
 
 def test_solution_scales_linearly_in_initial_mean(spec_benchmark):
-    sol1 = solve_equilibrium_shooting(spec_benchmark, steps=400)
-    sol2 = solve_equilibrium_shooting(with_x0(spec_benchmark, [2.0]), steps=400)
+    grid = build_grid(spec_benchmark, 400)
+    sol1 = solve_equilibrium_shooting(spec_benchmark, grid)
+    sol2 = solve_equilibrium_shooting(with_x0(spec_benchmark, [2.0]), grid)
     assert np.allclose(sol2.xi, 2.0 * sol1.xi, rtol=0, atol=1e-12)
     assert np.allclose(sol2.eta, 2.0 * sol1.eta, rtol=0, atol=1e-12)
 
 
 def test_ode_residual_scales_fourth_order(spec_benchmark):
-    res_coarse = solve_equilibrium_shooting(spec_benchmark, steps=250).ode_residual
-    res_fine = solve_equilibrium_shooting(spec_benchmark, steps=500).ode_residual
+    res_coarse = solve_equilibrium_shooting(
+        spec_benchmark, build_grid(spec_benchmark, 250)).ode_residual
+    res_fine = solve_equilibrium_shooting(
+        spec_benchmark, build_grid(spec_benchmark, 500)).ode_residual
     assert res_fine <= res_coarse / 8.0
     # piecewise: stencils with a breakpoint strictly inside are skipped,
     # so the residual converges instead of measuring the coefficient jump;
     # the fixed point, whose z is splined piece by piece, converges alike
     spec = _piecewise_2d_spec()
     for solve in (solve_equilibrium_shooting,
-                  lambda spec, steps: fixed_point_iterate(spec, steps=steps,
-                                                          tol=1e-13)):
-        coarse = solve(spec, steps=200).ode_residual
-        fine = solve(spec, steps=400).ode_residual
+                  lambda spec, grid: fixed_point_iterate(spec, grid,
+                                                         tol=1e-13)):
+        coarse = solve(spec, build_grid(spec, 200)).ode_residual
+        fine = solve(spec, build_grid(spec, 400)).ode_residual
         assert 0.0 < fine <= coarse / 8.0
         assert fine < 1e-8
 
 
 def test_boundary_identity_on_success(spec_benchmark):
-    sol = solve_equilibrium_shooting(spec_benchmark, steps=400)
+    sol = solve_equilibrium_shooting(spec_benchmark,
+                                     build_grid(spec_benchmark, 400))
     GT = spec_benchmark.QT + spec_benchmark.terminal_effective_S
     assert np.linalg.norm(sol.eta[-1] - GT @ sol.xi[-1]) < 1e-10
 
@@ -242,7 +249,8 @@ def test_control_law_offset_matches_zeta_ode(spec_benchmark):
 
 
 def test_control_law_grid_mismatch_rejected(spec_benchmark):
-    sol = solve_equilibrium_shooting(spec_benchmark, steps=200)
+    sol = solve_equilibrium_shooting(spec_benchmark,
+                                     build_grid(spec_benchmark, 200))
     ric = solve_symmetric(spec_benchmark, build_grid(spec_benchmark, 400))
     with pytest.raises(ValueError, match="grids"):
         equilibrium_control_law(spec_benchmark, sol, ric)
@@ -257,7 +265,8 @@ def test_q_weighted_norm_matches_hand_value():
 
 
 def test_fbsolution_csv_header_and_rows(spec_benchmark):
-    sol = solve_equilibrium_shooting(spec_benchmark, steps=10)
+    sol = solve_equilibrium_shooting(spec_benchmark,
+                                     build_grid(spec_benchmark, 10))
     text = fbsolution_csv(sol)
     lines = text.strip().split("\n")
     assert lines[0] == "t,xi_1,eta_1"
@@ -288,5 +297,6 @@ def test_shooting_raises_when_it_misses_the_terminal_condition():
     with pytest.raises(SingularShootingMatrix, match="lost accuracy"):
         solve_equilibrium_shooting(spec, uniform_grid(20.0, 8000))
     # on a shorter horizon the same problem shoots accurately
-    sol = solve_equilibrium_shooting(scalar_spec(T=5.0, **coeffs), steps=2000)
+    spec = scalar_spec(T=5.0, **coeffs)
+    sol = solve_equilibrium_shooting(spec, build_grid(spec, 2000))
     assert sol.boundary_residual < 1e-8

@@ -16,7 +16,8 @@ def with_x0(spec: ProblemSpec, x0) -> ProblemSpec:
 
 
 def test_zero_initial_mean_gives_zero_paths(spec_benchmark):
-    sol = solve_mftype_mean(with_x0(spec_benchmark, [0.0]), steps=200)
+    spec = with_x0(spec_benchmark, [0.0])
+    sol = solve_mftype_mean(spec, build_grid(spec, 200))
     assert np.all(sol.ybar == 0.0)
     assert np.all(sol.pbar == 0.0)
 
@@ -42,7 +43,7 @@ def test_matches_mfg_mean_when_mean_field_cost_only():
 
 
 def test_boundary_residual_and_initial_condition(spec_classical):
-    sol = solve_mftype_mean(spec_classical, steps=300)
+    sol = solve_mftype_mean(spec_classical, build_grid(spec_classical, 300))
     assert np.allclose(sol.ybar[0], spec_classical.x0_mean)
     assert sol.boundary_residual < 1e-10
 
@@ -64,7 +65,7 @@ def test_never_fails_on_random_valid_specs():
             QT=spec.QT, QbarT=np.zeros((spec.n, spec.n)),
             ST=rng.normal(size=(spec.n, spec.n)),
             x0_mean=spec.x0_mean, delta=spec.delta)
-        sol = solve_mftype_mean(spec, steps=300)
+        sol = solve_mftype_mean(spec, build_grid(spec, 300))
         assert sol.boundary_residual < 1e-8
 
 
@@ -122,7 +123,7 @@ def test_compare_shooting_agrees_with_closed_form_verdict_on_sweep():
 
 
 def test_output_renderers(spec_classical):
-    sol = solve_mftype_mean(spec_classical, steps=10)
+    sol = solve_mftype_mean(spec_classical, build_grid(spec_classical, 10))
     text = mftype_csv(sol)
     assert text.splitlines()[0] == "t,ybar_1,ybar_2,pbar_1,pbar_2"
     res = compare_mfg_mftype(a=2.0, abar=1.0, b=1.0, T=1.0)

@@ -1,0 +1,42 @@
+"""Structural checks on the package's public interface and sources."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import lqmfg
+from lqmfg import conditions, fbsolver, mftype, riccati
+
+GRID_SOLVERS = [
+    fbsolver.solve_equilibrium_shooting, fbsolver.fixed_point_iterate,
+    riccati.solve_symmetric, riccati.solve_nonsymmetric_direct,
+    riccati.solve_nonsymmetric_radon, riccati.solve_1d_closed_form,
+    mftype.solve_mftype_mean, conditions.compute_mainthm_norms,
+    conditions.check_shifted, conditions.appendix_feedback_riccati,
+    conditions.appendix_feedback_condition, conditions.appendix_adjoint_route,
+    conditions.appendix_report,
+]
+
+
+def test_solvers_take_a_required_grid_and_no_steps():
+    for fn in GRID_SOLVERS:
+        params = inspect.signature(fn).parameters
+        assert "steps" not in params, fn.__name__
+        assert params["grid"].default is inspect.Parameter.empty, fn.__name__
+
+
+def test_every_module_level_import_is_used():
+    for path in sorted(Path(lqmfg.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name}: {sorted(imported - used)}"

@@ -108,7 +108,7 @@ def test_closed_form_affine_branch():
     # B = 0 and 2A + Abar = 0: Gamma_t = (Q+Seff)(T-t) + terminal
     grid = uniform_grid(2.0, 50)
     ric = solve_1d_closed_form(a=0.5, abar=-1.0, b=0.0, r=1.0, q_plus_s=1.5,
-                               qT_plus_sT=0.25, T=2.0, grid=grid)
+                               qT_plus_sT=0.25, grid=grid)
     expected = 1.5 * (2.0 - grid) + 0.25
     assert np.max(np.abs(ric.gamma[:, 0, 0] - expected)) < 1e-12
 
@@ -117,7 +117,7 @@ def test_closed_form_terminal_condition():
     for kwargs in (dict(a=0.3, abar=0.1, b=0.0, r=1.0),
                    dict(a=0.3, abar=0.1, b=1.2, r=0.7),
                    dict(a=0.0, abar=0.0, b=0.0, r=1.0)):
-        ric = solve_1d_closed_form(q_plus_s=0.8, qT_plus_sT=0.6, T=1.0,
+        ric = solve_1d_closed_form(q_plus_s=0.8, qT_plus_sT=0.6,
                                    grid=uniform_grid(1.0, 10), **kwargs)
         assert abs(ric.gamma[-1, 0, 0] - 0.6) < 1e-14
 
@@ -125,7 +125,7 @@ def test_closed_form_terminal_condition():
 def test_closed_form_tanh_matches_direct():
     spec = scalar_spec(a=0.0, abar=0.0, b=1.0, q=1.0, qT=0.0)
     grid = uniform_grid(1.0, 2000)
-    closed = solve_1d_closed_form(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0, grid=grid)
+    closed = solve_1d_closed_form(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, grid)
     assert np.max(np.abs(closed.gamma[:, 0, 0] - np.tanh(1.0 - grid))) < 1e-12
     direct = solve_nonsymmetric_direct(spec, grid)
     assert np.max(np.abs(closed.gamma - direct.gamma)) < 1e-8
@@ -134,8 +134,7 @@ def test_closed_form_tanh_matches_direct():
 def test_closed_form_large_horizon_stable():
     # the naive formula overflows around T ~ 350; the rearranged one must not
     ric = solve_1d_closed_form(a=0.0, abar=0.0, b=1.0, r=1.0, q_plus_s=1.0,
-                               qT_plus_sT=0.0, T=500.0,
-                               grid=uniform_grid(500.0, 100))
+                               qT_plus_sT=0.0, grid=uniform_grid(500.0, 100))
     assert np.all(np.isfinite(ric.gamma))
     assert abs(ric.gamma[0, 0, 0] - 1.0) < 1e-12  # tanh(500) = 1 numerically
 
@@ -143,14 +142,14 @@ def test_closed_form_large_horizon_stable():
 def test_closed_form_degenerate_roots_rejected():
     with pytest.raises(DistinctRootsViolated):
         solve_1d_closed_form(a=0.0, abar=0.0, b=1.0, r=1.0, q_plus_s=0.0,
-                             qT_plus_sT=0.5, T=1.0, grid=uniform_grid(1.0, 10))
+                             qT_plus_sT=0.5, grid=uniform_grid(1.0, 10))
 
 
 def test_closed_form_negative_weight_rejected():
     # q_plus_s = -2 with 2a+abar = 3 keeps the roots real but both positive
     with pytest.raises(ValueError, match="q_plus_s >= 0"):
         solve_1d_closed_form(a=1.0, abar=1.0, b=1.0, r=1.0, q_plus_s=-2.0,
-                             qT_plus_sT=0.0, T=1.0, grid=uniform_grid(1.0, 10))
+                             qT_plus_sT=0.0, grid=uniform_grid(1.0, 10))
 
 
 def _random_branch_case(rng):
@@ -183,7 +182,7 @@ def test_closed_forms_match_backward_rk4_sweep():
     rng = np.random.default_rng(99)
     for _ in range(30):
         case = _random_branch_case(rng)
-        grid = uniform_grid(case["T"], 2000)
+        grid = uniform_grid(case.pop("T"), 2000)
         closed = solve_1d_closed_form(grid=grid, **case)
 
         two_a = 2.0 * case["a"] + case["abar"]
