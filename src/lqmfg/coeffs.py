@@ -139,7 +139,7 @@ def build_grid(spec: "ProblemSpec", steps: int) -> np.ndarray:
         h = T / K
         if all(abs(b / h - round(b / h)) * h <= tol for b in points):
             return uniform_grid(T, K)
-    raise ValueError(
+    raise ConfigError(
         "no uniform grid up to 16x the requested resolution hits all "
         f"schedule breakpoints {points}")
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .coeffs import (ProblemSpec, Schedule, _min_eig, csv_text, sample,
                      system_blocks, uniform_grid)
@@ -123,7 +122,7 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
         term2 = spectral_norms(np.einsum("tij,jk->tik",
                                          X[lo:hi], G_term)) ** 2
         for j in range(hi - lo):
-            integral = trapezoid(norms2[j, j:], grid[lo + j:])
+            integral = np.trapezoid(norms2[j, j:], grid[lo + j:])
             best = max(best, term2[j] + integral)
     return float(np.sqrt(best))
 
@@ -322,6 +321,12 @@ class FeedbackRiccati:
     F: np.ndarray
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_k} y by the trapezoid rule, for every k (0 at k = 0)."""
+    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
 def appendix_feedback_riccati(p: AppendixParams,
                               grid: np.ndarray) -> FeedbackRiccati:
     """Feedback route: the positive Riccati solution of
@@ -336,7 +341,7 @@ def appendix_feedback_riccati(p: AppendixParams,
     k2 = p.b ** 2 / p.r
     H = Schedule.constant([[p.a, -k2], [-1.0, -p.a]])
     pi = _sweep(H, np.zeros((1, 1)), grid)[0][:, 0, 0]
-    F = cumulative_trapezoid(p.a - k2 * pi, grid, initial=0.0)
+    F = _cumulative_trapezoid(p.a - k2 * pi, grid)
     return FeedbackRiccati(grid=grid, pi=pi, F=F)
 
 
@@ -356,13 +361,12 @@ def appendix_feedback_condition(p: AppendixParams, grid: np.ndarray) -> dict:
 
     # inner(s) = int_s^T Phi(s,tau) g(tau) dtau, Phi(s,tau) = e^{F(tau)-F(s)}
     weighted = np.exp(F) * g
-    head = cumulative_trapezoid(weighted, grid, initial=0.0)
+    head = _cumulative_trapezoid(weighted, grid)
     tail = head[-1] - head                     # int_s^T
     inner = np.exp(-F) * tail
     h = np.abs(p.alpha) + p.b ** 2 / p.r * inner
     # outer(t) = int_0^t Phi(s,t) h(s) ds, Phi(s,t) = e^{F(t)-F(s)}
-    outer = np.exp(F) * cumulative_trapezoid(np.exp(-F) * h, grid,
-                                             initial=0.0)
+    outer = np.exp(F) * _cumulative_trapezoid(np.exp(-F) * h, grid)
     lhs = float(outer.max())
     simplified = float(abs(p.gamma) * (1.0 - np.exp(-p.b * p.T)))
     return {

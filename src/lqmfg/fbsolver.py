@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .coeffs import (ProblemSpec, Schedule, csv_text, sample, system_blocks,
                      uniform_grid)
@@ -230,7 +229,7 @@ def q_weighted_norm(spec: ProblemSpec, grid: np.ndarray, v: np.ndarray) -> float
     Qvals = sample(spec.Q, grid)
     quad = np.einsum("ki,kij,kj->k", v, Qvals, v)
     terminal = float(v[-1] @ spec.QT @ v[-1])
-    return float(np.sqrt(trapezoid(quad, grid) + terminal))
+    return float(np.sqrt(np.trapezoid(quad, grid) + terminal))
 
 
 def _aux_inner_system(spec: ProblemSpec) -> tuple[Schedule, Schedule, Schedule]:
@@ -302,20 +301,13 @@ class FeedbackLaw:
     """
 
     grid: np.ndarray
-    Xi: np.ndarray      # (K+1, n, n)
     k: np.ndarray       # (K+1, n)
     gain: np.ndarray    # (K+1, m, n)
     shift: np.ndarray   # (K+1, m)
 
-    def control(self, index: int, y: np.ndarray) -> np.ndarray:
-        """Control at grid index for a state y of shape (n,) or a batch (N, n)."""
-        if y.ndim == 1:
-            return -(self.gain[index] @ y + self.shift[index])
-        return -(y @ self.gain[index].T + self.shift[index])
-
     def scaled(self, theta: float) -> "FeedbackLaw":
-        return FeedbackLaw(self.grid, self.Xi, self.k,
-                           theta * self.gain, theta * self.shift)
+        return FeedbackLaw(self.grid, self.k, theta * self.gain,
+                           theta * self.shift)
 
     @classmethod
     def from_paths(cls, spec: ProblemSpec, grid: np.ndarray, Xi: np.ndarray,
@@ -324,7 +316,7 @@ class FeedbackLaw:
         RinvBt = sample(system_blocks(spec).RinvBt, grid)
         gain = np.einsum("kij,kjl->kil", RinvBt, Xi)
         shift = np.einsum("kij,kj->ki", RinvBt, k)
-        return cls(grid=grid, Xi=Xi, k=k, gain=gain, shift=shift)
+        return cls(grid=grid, k=k, gain=gain, shift=shift)
 
 
 def equilibrium_control_law(spec: ProblemSpec, sol: FBSolution,

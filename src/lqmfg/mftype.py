@@ -96,8 +96,7 @@ def solve_mftype_mean(spec: ProblemSpec, grid: np.ndarray) -> MFTypeSolution:
 
 def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
                        x0_mean: float = 1.0, q: float = 0.0, r: float = 1.0,
-                       qT: float = 1.0, steps: int = 2000,
-                       tol: float = DIFFER_RTOL) -> ComparisonResult:
+                       qT: float = 1.0, steps: int = 2000) -> ComparisonResult:
     """Decide whether the MFG equilibrium and the mean-field-type optimal
     control differ, for scalar constant coefficients.
 
@@ -118,7 +117,7 @@ def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
     phi2, psi2, _, _ = system(a + abar)
     psi1_T = float(psi1[-1, 0])
     psi2_T = float(psi2[-1, 0])
-    differ = abs(psi1_T - psi2_T) > tol * (1.0 + abs(psi1_T))
+    differ = abs(psi1_T - psi2_T) > DIFFER_RTOL * (1.0 + abs(psi1_T))
 
     two_a = 2.0 * a + abar
     two_ab = 2.0 * a + 2.0 * abar
@@ -127,7 +126,7 @@ def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
     if closed_defined:
         lhs = float((1.0 - np.exp(-two_a * T)) / two_a)
         rhs = float(np.exp(abar * T) * (1.0 - np.exp(-two_ab * T)) / two_ab)
-        differ_cf = bool(abs(lhs - rhs) > tol * (1.0 + abs(lhs)))
+        differ_cf = bool(abs(lhs - rhs) > DIFFER_RTOL * (1.0 + abs(lhs)))
     else:
         lhs = rhs = float("nan")
         differ_cf = None

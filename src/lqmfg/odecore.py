@@ -14,7 +14,7 @@ Two forms of the same classical fixed-step RK4 scheme:
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
-matrix exponentials, principal PSD square roots, and spectral norms.
+principal PSD square roots, and spectral norms.
 Backward problems are integrated by the substitution tau = T - t, so
 each form has a single forward stepping loop.
 """
@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.interpolate import CubicSpline
 
 from .coeffs import Schedule, check_uniform_grid, sample
 
@@ -164,16 +162,30 @@ def step_pieces(M: Schedule, grid) -> tuple[np.ndarray, np.ndarray]:
 def stage_source(D: Schedule, grid, z, M: Schedule) -> np.ndarray:
     """D(t) z(t) at the RK4 stages (t_k, t_k + h/2, t_{k+1}) of each step,
     shape (K, 3, d): D the step's piece, z its samples at the step ends and
-    at the midpoint one cubic spline per run of `step_pieces` of M, the
-    system z solves, so that no spline spans a kink of z."""
+    `_midpoints` at the midpoint, once per run of `step_pieces` of M, the
+    system z solves, so that no interpolant spans a kink of z."""
     grid = np.asarray(grid, dtype=float)
     mid, cuts = step_pieces(M, grid)
     zs = np.empty((mid.size, 3) + np.shape(z)[1:])
     zs[:, 0], zs[:, 2] = z[:-1], z[1:]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        spline = CubicSpline(grid[lo:hi + 1], z[lo:hi + 1], axis=0)
-        zs[lo:hi, 1] = spline(mid[lo:hi])
+        zs[lo:hi, 1] = _midpoints(z[lo:hi + 1])
     return np.einsum("kij,ksj->ksi", sample(D, mid), zs)
+
+
+def _midpoints(y: np.ndarray) -> np.ndarray:
+    """y at the step midpoints of its K + 1 uniform samples (axis 0): on
+    each step the cubic through the four nearest samples, and for K < 4 the
+    line, parabola or cubic through all of them.  That is the mean of the
+    step's ends less (d2_k + d2_{k+1}) / 16, with the second differences
+    d2 extrapolated linearly to the two ends."""
+    mean = (y[:-1] + y[1:]) / 2.0
+    if len(y) < 3:
+        return mean
+    d2 = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    d2 = np.pad(d2, [(1, 1)] + [(0, 0)] * (y.ndim - 1), mode="reflect",
+                reflect_type="odd")
+    return mean - (d2[:-1] + d2[1:]) / 16.0
 
 
 def _rk4_linear(M: Schedule, y0, grid, source=None,
@@ -281,14 +293,6 @@ def fundamental_solution(A, s: float, grid) -> FundamentalSolution:
     if idx > 0:
         samples[:idx + 1] = _rk4_linear(A, eye, grid[:idx + 1], backward=True)
     return FundamentalSolution(float(grid[idx]), grid, samples)
-
-
-def matrix_exponential(M: np.ndarray) -> np.ndarray:
-    """exp(M) by scaling-and-squaring with a fixed-order Pade approximant."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix exponential of a non-finite matrix")
-    return scipy.linalg.expm(M)
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:

@@ -179,8 +179,8 @@ def _law_on_grid(law: FeedbackLaw, grid: np.ndarray) -> FeedbackLaw:
     if rem or np.max(np.abs(law.grid[::stride] - grid)) > 1e-9:
         raise ValueError("feedback law grid is not compatible with the "
                          "simulation grid")
-    return FeedbackLaw(grid, law.Xi[::stride], law.k[::stride],
-                       law.gain[::stride], law.shift[::stride])
+    return FeedbackLaw(grid, law.k[::stride], law.gain[::stride],
+                       law.shift[::stride])
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -345,6 +345,19 @@ def test_simulate_with_breakpoint_off_the_euler_grid(tmp_path, capsys):
     assert all(np.isfinite(float(row[1])) for row in rows)
 
 
+@pytest.mark.parametrize("verb", ["check", "solve", "riccati", "mftype"])
+def test_breakpoint_no_grid_hits_exits_1(tmp_path, capsys, verb):
+    # no uniform grid of 2000 to 32000 steps has a point within 1e-9 of it
+    config = tmp_path / "unhittable.cfg"
+    config.write_text(open(BENCH).read().replace(
+        "[A]\nconst = 0.2", "[A]\nat 0 = 0.2\nat 0.1234567 = -0.1"))
+    code = main([verb, "--config", str(config), "--out", str(tmp_path / verb)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: no uniform grid") and "0.1234567" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("flags, x0_cov, message", [
     (["--N", "4,8"], None, "at least 3 distinct"),
     (["--N", "1,4,8"], None, "at least 2"),

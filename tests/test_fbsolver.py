@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import scalar_spec
 from lqmfg.coeffs import ProblemSpec, build_grid, uniform_grid
@@ -9,7 +10,7 @@ from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix,
                             fixed_point_iterate, q_weighted_norm,
                             refine_singular_horizon,
                             solve_equilibrium_shooting)
-from lqmfg.odecore import matrix_exponential, rk4_integrate
+from lqmfg.odecore import rk4_integrate
 from lqmfg.riccati import solve_symmetric
 
 T0_BRACKET = (0.83, 0.86)
@@ -123,7 +124,7 @@ def test_scan_constant_matches_matrix_exponential(spec_ex1, spec_benchmark):
         scan = existence_scan(spec, 1.0, 1000)
         M = equilibrium_system(spec)[0].at(0.0)
         n = spec.n
-        Phi = np.stack([matrix_exponential(M * t) for t in scan.grid])
+        Phi = np.stack([expm(M * t) for t in scan.grid])
         assert np.max(np.abs(scan.det22 - np.linalg.det(Phi[:, n:, n:]))) < 1e-9
         assert np.max(np.abs(scan.det21 - np.linalg.det(Phi[:, n:, :n]))) < 1e-9
 
@@ -201,7 +202,8 @@ def test_ode_residual_scales_fourth_order(spec_benchmark):
     assert res_fine <= res_coarse / 8.0
     # piecewise: stencils with a breakpoint strictly inside are skipped,
     # so the residual converges instead of measuring the coefficient jump;
-    # the fixed point, whose z is splined piece by piece, converges alike
+    # the fixed point, whose z is interpolated piece by piece, converges
+    # alike
     spec = _piecewise_2d_spec()
     for solve in (solve_equilibrium_shooting,
                   lambda spec, grid: fixed_point_iterate(spec, grid,

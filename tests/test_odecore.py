@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from conftest import rk4_by_piece, stage_reader
 from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
-                           _rk4_linear, _step_maps, _sweep,
-                           fundamental_solution, inv_sqrt,
-                           matrix_exponential, psd_sqrt, rk4_integrate,
-                           rk4_integrate_backward, spectral_norm)
+                           _midpoints, _rk4_linear, _step_maps, _sweep,
+                           fundamental_solution, inv_sqrt, psd_sqrt,
+                           rk4_integrate, rk4_integrate_backward,
+                           spectral_norm)
 from lqmfg.riccati import solve_nonsymmetric_radon
 
 
@@ -197,7 +199,7 @@ def test_step_maps_split_a_step_at_two_inner_breakpoints(backward):
     taylor, exact = np.eye(3), np.eye(3)
     for A, tau in subs:
         taylor = _taylor4(sign * tau * A) @ taylor
-        exact = matrix_exponential(sign * tau * A) @ exact
+        exact = expm(sign * tau * A) @ exact
     assert np.max(np.abs(E[1] - taylor)) < 1e-14
     assert np.max(np.abs(E[1] - exact)) < 1e-6
     for k, A in [(0, P[0]), (2, P[2])]:
@@ -212,9 +214,9 @@ def test_fundamental_solution_off_grid_breakpoints_fourth_order():
     P = [rng.normal(scale=0.8, size=(2, 2)) for _ in range(3)]
     starts = [0.0, 0.4005, 0.402]
     M = Schedule.piecewise(zip(starts, P))
-    exact = (matrix_exponential(0.598 * P[2])
-             @ matrix_exponential(0.0015 * P[1])
-             @ matrix_exponential(0.4005 * P[0]))
+    exact = (expm(0.598 * P[2])
+             @ expm(0.0015 * P[1])
+             @ expm(0.4005 * P[0]))
     errors = [np.max(np.abs(fundamental_solution(
         M, 0.0, uniform_grid(1.0, K)).samples[-1] - exact))
               for K in (50, 100, 200, 400)]
@@ -254,7 +256,7 @@ def test_fundamental_solution_constant_matches_expm():
     fs = fundamental_solution(A, 0.0, grid)
     for k in (100, 250, 400):
         assert np.max(np.abs(fs.samples[k]
-                             - matrix_exponential(A * grid[k]))) < 1e-8
+                             - expm(A * grid[k]))) < 1e-8
 
 
 def test_fundamental_solution_scalar_value():
@@ -271,7 +273,7 @@ def test_fundamental_solution_backward_from_interior_anchor():
     assert np.max(np.abs(fs.samples[100] - np.eye(2))) < 1e-10
     # phi(t, s) = exp(A (t - s)) for constant A, also for t < s
     assert np.max(np.abs(fs.samples[0]
-                         - matrix_exponential(-0.5 * A))) < 1e-8
+                         - expm(-0.5 * A))) < 1e-8
 
 
 def test_semigroup_property():
@@ -307,33 +309,31 @@ def test_liouville_identity_counterexample_system(spec_ex1):
     assert np.max(np.abs(dets / np.exp(0.4 * grid) - 1.0)) < 1e-6
 
 
-def test_matrix_exponential_zero():
-    assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-
-
-def test_matrix_exponential_diagonal():
-    E = matrix_exponential(np.diag([1.0, 2.0]))
-    assert np.allclose(E, np.diag([np.e, np.e ** 2]), rtol=1e-12)
-
-
-def test_matrix_exponential_nilpotent():
-    N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.allclose(matrix_exponential(N),
-                       np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-
-def test_matrix_exponential_inverse_property():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        M = rng.normal(size=(4, 4))
-        M *= 10.0 / max(np.linalg.norm(M, 2), 10.0)
-        prod = matrix_exponential(M) @ matrix_exponential(-M)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-9
-
-
-def test_matrix_exponential_rejects_nonfinite():
-    with pytest.raises(ValueError, match="non-finite"):
-        matrix_exponential(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+def test_midpoints_local_cubic():
+    # exact on cubics once a run has the four samples a cubic needs
+    for K in (3, 4, 7, 20):
+        t = np.linspace(0.3, 1.1, K + 1)
+        y = np.stack([t ** 3 - 2.0 * t, 0.5 * t ** 2 + 1.0], axis=1)
+        mid = (t[:-1] + t[1:]) / 2.0
+        want = np.stack([mid ** 3 - 2.0 * mid, 0.5 * mid ** 2 + 1.0], axis=1)
+        assert np.max(np.abs(_midpoints(y) - want)) < 1e-13
+    # short runs: the polynomial through all samples, as the not-a-knot
+    # spline builds it
+    rng = np.random.default_rng(3)
+    for K in (1, 2, 3):
+        t = np.linspace(0.0, 0.4, K + 1)
+        y = rng.normal(size=(K + 1, 2))
+        spline = CubicSpline(t, y, axis=0)((t[:-1] + t[1:]) / 2.0)
+        assert np.max(np.abs(_midpoints(y) - spline)) < 1e-15
+    # fourth order on smooth data
+    errors = []
+    for K in (20, 40, 80, 160):
+        t = np.linspace(0.0, 2.0, K + 1)
+        mid = (t[:-1] + t[1:]) / 2.0
+        errors.append(np.max(np.abs(_midpoints(np.sin(3.0 * t))
+                                    - np.sin(3.0 * mid))))
+    assert all(coarse / fine >= 12.0
+               for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_psd_sqrt_identity_and_diagonal():

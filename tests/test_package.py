@@ -2,6 +2,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lqmfg
@@ -40,3 +43,13 @@ def test_every_module_level_import_is_used():
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name}: {sorted(imported - used)}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the tests
+    probe = ("import sys, lqmfg; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lqmfg.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"

@@ -16,8 +16,8 @@ from lqmfg.simulator import (DEFAULT_THETAS, SimConfig, best_response_law,
 
 def zero_law(grid, n, m):
     K = grid.size
-    return FeedbackLaw(grid=grid, Xi=np.zeros((K, n, n)), k=np.zeros((K, n)),
-                       gain=np.zeros((K, m, n)), shift=np.zeros((K, m)))
+    return FeedbackLaw(grid=grid, k=np.zeros((K, n)), gain=np.zeros((K, m, n)),
+                       shift=np.zeros((K, m)))
 
 
 def make_cfg(spec, **overrides):
@@ -70,8 +70,7 @@ def test_single_euler_step_hand_computed():
     grid = uniform_grid(1.0, 1)
     gain = np.full((2, 1, 1), 0.7)
     shift = np.full((2, 1), 0.2)
-    law = FeedbackLaw(grid=grid, Xi=np.zeros((2, 1, 1)), k=np.zeros((2, 1)),
-                      gain=gain, shift=shift)
+    law = FeedbackLaw(grid=grid, k=np.zeros((2, 1)), gain=gain, shift=shift)
     cfg = make_cfg(spec, dt=1.0, N_values=(2,))
     out = simulate_nplayer(spec, law, cfg, N=2)
 
