@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import conditions, fbsolver, mftype, riccati, simulator
 from .coeffs import (ConfigError, ProblemSpec, build_grid, config_sections,
                      load_config, system_blocks, uniform_grid, validate,
-                     _parse_matrix)
+                     _min_eig, _parse_matrix)
 from .conditions import AppendixParams
 from .fbsolver import NoConvergence, SingularShootingMatrix
 from .riccati import BoundaryOperatorSingular
@@ -166,17 +167,27 @@ def _cmd_check(args, out: Path) -> int:
     main.verdicts["riccati_solvable"] = conditions.riccati_solvable_verdict(
         main, spec.T, None if spec.is_constant else spec.T)
 
-    # shifted variant with the canonical positive weight Qcal = Q + Seff
+    # shifted variant with the canonical positive weight Qcal = Q + Seff;
+    # with Seff = 0, SeffT = 0 and Q positive definite it is the mainthm
+    # evaluation itself, so that report is reused
     blocks = system_blocks(spec)
     shifted_lhs = None
-    try:
-        shifted = conditions.check_shifted(spec, blocks.QS, grid,
-                                           QcalT=blocks.GT)
-        shifted_lhs = shifted.mainthm_lhs
-        main.verdicts["shifted_positive_weight"] = shifted.verdicts["shifted"]
-    except ValueError as exc:
-        main.verdicts["shifted_positive_weight"] = conditions.Verdict(
-            "undefined", reason=str(exc))
+    if (all(np.all(M == 0) for _, M in blocks.Seff.values)
+            and np.all(spec.terminal_effective_S == 0)
+            and min(_min_eig(M) for _, M in blocks.QS.values) > 0):
+        shifted_lhs = main.mainthm_lhs
+        main.verdicts["shifted_positive_weight"] = replace(
+            main.verdicts["mainthm"])
+    else:
+        try:
+            shifted = conditions.check_shifted(spec, blocks.QS, grid,
+                                               QcalT=blocks.GT)
+            shifted_lhs = shifted.mainthm_lhs
+            main.verdicts["shifted_positive_weight"] = (
+                shifted.verdicts["shifted"])
+        except ValueError as exc:
+            main.verdicts["shifted_positive_weight"] = conditions.Verdict(
+                "undefined", reason=str(exc))
 
     print(conditions.report_text(main), end="")
     rows = {

@@ -19,10 +19,13 @@ Quantities computed here:
 
 Each norm report comes from one evaluation (`_mainthm_norms`) on its
 grid, and every verdict on those norms reads that report: the `check`
-verb takes mainthm and riccati_solvable from one [0, T] report.
-|||phi||| forms phi(s, t) only for s >= t.  All suprema are taken over
-the sample grid; strict "< 1" verdicts carry a borderline flag when the
-value is within 1e-9 of 1.
+verb takes mainthm and riccati_solvable from one [0, T] report, and the
+shifted one too when Seff = 0, SeffT = 0 and Q is positive definite,
+where the shifted weight Q + Seff is Q.  |||phi||| forms phi(s, t) only
+for s >= t and integrates over s by one reversed cumulative sum per
+batch of t; spectral norms come from `odecore.spectral_norms`, without
+an SVD.  All suprema are taken over the sample grid; strict "< 1"
+verdicts carry a borderline flag when the value is within 1e-9 of 1.
 """
 
 from __future__ import annotations
@@ -105,26 +108,33 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
                               + int_t^T ||phi*(s,t) Qs^1/2||^2 ds).
 
     Uses phi(s,t) = phi(s,0) phi(t,0)^-1 so a single fundamental-solution
-    pass suffices; the products are normed in batches of times t, each
-    against the samples s >= the batch's first t, since the integral
-    reads no s < t.
+    pass suffices; the products are formed (one BLAS-backed einsum) and
+    normed in batches of times t, each against the samples s >= the
+    batch's first t, since the integral reads no s < t.  A batch's
+    integrals over s >= t come from one `_tail_trapezoid`, which adds
+    only non-negative terms, from T backwards.
     """
     Phi = _rk4_linear(A_sched, np.eye(sqrtQ.shape[-1]), grid)
     G = np.einsum("sji,sjk->sik", Phi, sqrtQ)          # phi(s,0)^T Qs^1/2
-    G_term = Phi[-1].T @ sqrtQ_terminal
     X = np.linalg.inv(Phi).transpose(0, 2, 1)          # phi(t,0)^-T
+    terminal = spectral_norms(X @ (Phi[-1].T @ sqrtQ_terminal)) ** 2
     K = grid.size
     best = 0.0
     for lo in range(0, K, PHI_BLOCK):
         hi = min(lo + PHI_BLOCK, K)
-        prod = np.einsum("tij,sjk->tsik", X[lo:hi], G[lo:])
+        prod = np.einsum("tij,sjk->tsik", X[lo:hi], G[lo:], optimize=True)
         norms2 = spectral_norms(prod) ** 2              # (hi-lo, K-lo)
-        term2 = spectral_norms(np.einsum("tij,jk->tik",
-                                         X[lo:hi], G_term)) ** 2
-        for j in range(hi - lo):
-            integral = np.trapezoid(norms2[j, j:], grid[lo + j:])
-            best = max(best, term2[j] + integral)
+        best = max(best, float(np.max(
+            terminal[lo:hi] + _tail_trapezoid(norms2, grid[lo:]))))
     return float(np.sqrt(best))
+
+
+def _tail_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_j}^{x_end} y[j] by the trapezoid rule, for each row j of y
+    (at most len(x) rows): the diagonal of one reversed cumulative sum of
+    the trapezoid steps, summed from x_end backwards."""
+    tail = _cumulative_trapezoid(y[:, ::-1], x[::-1])[:, ::-1]
+    return -np.diagonal(tail)
 
 
 def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
@@ -322,9 +332,11 @@ class FeedbackRiccati:
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """int_{x_0}^{x_k} y by the trapezoid rule, for every k (0 at k = 0)."""
-    steps = np.diff(x) * (y[1:] + y[:-1]) / 2.0
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    """int_{x_0}^{x_k} y by the trapezoid rule along the last axis, for
+    every k (0 at k = 0)."""
+    steps = np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
+    return np.concatenate([np.zeros_like(y[..., :1]),
+                           np.cumsum(steps, axis=-1)], axis=-1)
 
 
 def appendix_feedback_riccati(p: AppendixParams,

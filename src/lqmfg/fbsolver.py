@@ -24,6 +24,7 @@ from .odecore import _rk4_linear, fundamental_solution, stage_source
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
+SETTLED_RTOL = 1e-3   # spread of three ratios > 1 that marks settled divergence
 
 
 class SingularShootingMatrix(RuntimeError):
@@ -41,7 +42,9 @@ class SingularShootingMatrix(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """Fixed-point iteration failed to converge."""
+    """Fixed-point iteration failed to converge: after `iterations` inner
+    solves, with `ratio` the last ratio of successive differences;
+    `diverged` when the ratios settled above 1 or the iterate blew up."""
 
     def __init__(self, iterations: int, ratio: float, diverged: bool = False):
         self.iterations = iterations
@@ -249,9 +252,16 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,
     Each inner step solves the classical LQ two-point problem with source
     terms Abar_t z_t and Qbar_t(I-S_t) z_t by shooting (terminal operator
     QT, always well posed), then replaces z by the resulting xi.  Stops
-    when ||xi - z||_Q < tol.  The initial iterate is z = 0.  Outside the
-    contraction regime the iteration may diverge; that is reported as
-    NoConvergence with the last ratio estimate.
+    when ||xi - z||_Q < tol.  The initial iterate is z = 0.
+
+    The map is affine, so the successive differences xi - z are a power
+    iteration of its linear part, and their ratios tend to its spectral
+    radius.  Once the last three ratios all exceed 1 and lie within
+    SETTLED_RTOL x ratio of each other, the iteration has settled into
+    divergence and raises NoConvergence(diverged=True); so does a
+    non-finite or huge iterate.  Otherwise NoConvergence after max_iter
+    iterations.  Its `iterations` counts the inner solves made and its
+    `ratio` is the last ratio.
     """
     M0, Abar, Seff = _aux_inner_system(spec)
     Msched, GT = equilibrium_system(spec)
@@ -274,18 +284,23 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,
     z = np.zeros((grid.size, n))
     prev_diff = None
     ratio = float("nan")
+    ratios = []
     for it in range(1, max_iter + 1):
         xi, eta, eta0, _ = inner_solve(None if it == 1 else z)
         diff = q_weighted_norm(spec, grid, xi - z)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
+            ratios.append(ratio)
         if diff < tol or (source_free and it == 1):
             boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
             defect = _ode_defect(grid, xi, eta, Msched)
             return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
                               boundary_residual=boundary, ode_residual=defect,
                               iterations=it, contraction_ratio=ratio)
-        if not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > 1e12:
+        last = ratios[-3:]
+        settled = (len(last) == 3 and min(last) > 1.0
+                   and max(last) - min(last) <= SETTLED_RTOL * ratio)
+        if settled or not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > 1e12:
             raise NoConvergence(it, ratio, diverged=True)
         z = xi
         prev_diff = diff

@@ -14,7 +14,8 @@ Two forms of the same classical fixed-step RK4 scheme:
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
-principal PSD square roots, and spectral norms.
+principal PSD square roots, and spectral norms (from the Gram matrix,
+without an SVD).
 Backward problems are integrated by the substitution tau = T - t, so
 each form has a single forward stepping loop.
 """
@@ -22,6 +23,7 @@ each form has a single forward stepping loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -327,15 +329,40 @@ def inv_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("spectral norm of a non-finite matrix")
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False).max())
+    """Largest singular value of one matrix (0 for an empty one)."""
+    return float(spectral_norms(M))
 
 
 def spectral_norms(batch: np.ndarray) -> np.ndarray:
-    """Largest singular value along the last two axes of a stacked array."""
-    return np.linalg.svd(batch, compute_uv=False).max(axis=-1)
+    """Largest singular value along the last two axes of a stacked array,
+    as sqrt(lambda_max(P* P)) on the narrower side P of each matrix.
+
+    With one or two columns p1, p2 the Gram entries a = |p1|^2, c = |p2|^2,
+    b = p1.p2 give lambda_max = (a + c)/2 + hypot((a - c)/2, b), a sum of
+    two non-negative terms; with more, the last `eigvalsh` eigenvalue of
+    the Gram matrix.  Each matrix is first scaled by a power of two (exact)
+    so that the Gram entries cannot overflow.  Raises ValueError on
+    non-finite input, so a NaN norm never reaches a verdict.
+    """
+    P = np.asarray(batch, dtype=float)
+    if not np.all(np.isfinite(P)):
+        raise ValueError("spectral norm of a non-finite matrix")
+    rows, cols = P.shape[-2:]
+    if rows * cols == 0:
+        return np.zeros(P.shape[:-2])
+    entries = np.moveaxis(P.reshape(P.shape[:-2] + (rows * cols,)), -1, 0)
+    scale = np.ldexp(1.0, np.frexp(reduce(np.maximum, np.abs(entries)))[1])
+    P = P / scale[..., None, None]
+    if rows < cols:
+        P, cols = np.swapaxes(P, -1, -2), rows
+    if cols == 1:
+        lam = np.einsum("...i,...i->...", P[..., 0], P[..., 0])
+    elif cols == 2:
+        p1, p2 = P[..., 0], P[..., 1]
+        a = np.einsum("...i,...i->...", p1, p1)
+        c = np.einsum("...i,...i->...", p2, p2)
+        b = np.einsum("...i,...i->...", p1, p2)
+        lam = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+    else:
+        lam = np.linalg.eigvalsh(np.swapaxes(P, -1, -2) @ P)[..., -1]
+    return scale * np.sqrt(np.maximum(lam, 0.0))

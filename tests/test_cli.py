@@ -241,9 +241,16 @@ def test_check_report_on_bundled_configs(tmp_path, capsys, config):
     assert capsys.readouterr().out == CHECK_REPORTS[config]
 
 
-def test_check_evaluates_phi_norm_once_per_weight(tmp_path, monkeypatch):
-    # mainthm and riccati_solvable share the Q-weighted norm; the shifted
-    # check uses the weight Q + Seff
+# mainthm and riccati_solvable share the Q-weighted norm; the shifted
+# check uses the weight Q + Seff, which is Q itself when Seff = 0, so it
+# norms phi a second time only when Seff != 0 (benchmark_scalar)
+PHI_NORM_EVALUATIONS = {"benchmark_scalar": 2, "classical_lq": 1,
+                        "counterexample_2d_1": 1, "counterexample_2d_2": 1}
+
+
+@pytest.mark.parametrize("config", sorted(PHI_NORM_EVALUATIONS))
+def test_check_evaluates_phi_norm_once_per_weight(tmp_path, monkeypatch,
+                                                  config):
     calls = []
     inner = conditions._phi_weighted_norm
 
@@ -252,8 +259,34 @@ def test_check_evaluates_phi_norm_once_per_weight(tmp_path, monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(conditions, "_phi_weighted_norm", counting)
-    assert main(["check", "--config", BENCH, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 2
+    assert main(["check", "--config", str(bundled_config(config)),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == PHI_NORM_EVALUATIONS[config]
+
+
+@pytest.mark.parametrize("config, old, new, shifted", [
+    # Seff = 0 and Q singular: the shifted weight is rejected
+    ("classical_lq", "const = 1.5, 0.2; 0.2, 1.0", "const = 1.0, 0; 0, 0",
+     "undefined [shift weight is not positive definite (min eigenvalue "
+     "0.000e+00)]"),
+    # Q positive definite below the inverse root's floor: the shifted
+    # check is the mainthm evaluation, undefined for the same reason
+    ("counterexample_2d_1", "const = 3.6, -0.6; -0.6, 0.2",
+     "const = 3.6, -0.6; -0.6, 0.1",
+     "undefined [running weight must be positive definite: matrix is not "
+     "positive definite (min eigenvalue 1.388e-17)]"),
+])
+def test_check_shifted_weight_undefined_when_Seff_is_zero(
+        tmp_path, capsys, config, old, new, shifted):
+    cfg = tmp_path / "singular_q.cfg"
+    source = bundled_config(config).read_text()
+    assert old in source
+    cfg.write_text(source.replace(old, new))
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"shifted_positive_weight: {shifted}"
+    _, rows = read_rows(tmp_path / "conditions.csv")
+    assert rows[2][:2] == ["shifted_positive_weight", "nan"]
 
 
 def test_mftype_verb(tmp_path, capsys):

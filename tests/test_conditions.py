@@ -6,7 +6,8 @@ from scipy.integrate import trapezoid
 
 from conftest import random_contractive_scalar_spec, scalar_spec, stage_reader
 from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
-from lqmfg.conditions import (AppendixParams, _strict_less_one, appendix_adjoint_route,
+from lqmfg.conditions import (AppendixParams, _strict_less_one, _tail_trapezoid,
+                              appendix_adjoint_route,
                               appendix_feedback_condition, appendix_feedback_riccati,
                               appendix_report, check_riccati_solvable,
                               check_shifted, compute_L, compute_mainthm_norms)
@@ -159,6 +160,21 @@ def test_phi_norm_matches_anchored_fundamental_solutions(seed):
     got = compute_mainthm_norms(spec, grid).phi_norm
     want = _phi_norm_oracle(spec, grid)
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("rows, points", [(1, 1), (5, 9), (9, 9), (64, 64),
+                                          (64, 200)])
+def test_tail_trapezoid_matches_per_row_trapezoid(rows, points):
+    # rows == points: the block ends at the last grid point, whose
+    # integral is empty
+    rng = np.random.default_rng(rows * points)
+    x = np.sort(rng.uniform(0.0, 2.0, size=points))
+    y = rng.uniform(0.0, 3.0, size=(rows, points)) ** 4
+    got = _tail_trapezoid(y, x)
+    want = np.array([np.trapezoid(y[j, j:], x[j:]) for j in range(rows)])
+    assert got.shape == (rows,)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert got[-1] == 0.0 if rows == points else got[-1] > 0.0
 
 
 def test_shifted_positive_definite_weight_gives_zero_lhs():

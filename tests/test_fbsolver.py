@@ -186,6 +186,16 @@ def test_fixed_point_fails_at_singular_horizon(spec_ex1):
         fixed_point_iterate(spec, build_grid(spec, 400), max_iter=30)
 
 
+def test_fixed_point_stops_once_divergence_settles(spec_ex2):
+    # the map z -> xi is affine, so the difference ratios settle at the
+    # spectral radius of its linear part, 1.069 on the second example
+    with pytest.raises(NoConvergence) as info:
+        fixed_point_iterate(spec_ex2, build_grid(spec_ex2, 2000))
+    assert info.value.diverged
+    assert info.value.iterations <= 12
+    assert abs(info.value.ratio - 1.069) < 2e-3
+
+
 def test_solution_scales_linearly_in_initial_mean(spec_benchmark):
     grid = build_grid(spec_benchmark, 400)
     sol1 = solve_equilibrium_shooting(spec_benchmark, grid)

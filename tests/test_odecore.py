@@ -12,7 +12,7 @@ from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
                            _midpoints, _rk4_linear, _step_maps, _sweep,
                            fundamental_solution, inv_sqrt, psd_sqrt,
                            rk4_integrate, rk4_integrate_backward,
-                           spectral_norm)
+                           spectral_norm, spectral_norms)
 from lqmfg.riccati import solve_nonsymmetric_radon
 
 
@@ -369,3 +369,30 @@ def test_spectral_norm_cases():
     assert spectral_norm(np.zeros((3, 2))) == 0.0
     assert abs(spectral_norm(np.diag([3.0, -5.0])) - 5.0) < 1e-12
     assert abs(spectral_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 4), (3, 2),
+                                   (2, 1), (2, 3), (1, 4)])
+def test_spectral_norms_match_svd(shape):
+    # random batches over 1-4 columns and non-square shapes, entries
+    # scaled from 1e-150 to 1e150, plus zero and rank-1 matrices
+    rng = np.random.default_rng(sum(shape))
+    P = rng.normal(size=(40, 25) + shape)
+    P *= 10.0 ** rng.uniform(-150.0, 150.0, size=(40, 25, 1, 1))
+    P[0, 0] = 0.0
+    P[0, 1] = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+    want = np.linalg.svd(P, compute_uv=False).max(axis=-1)
+    got = spectral_norms(P)
+    assert got.shape == want.shape and got[0, 0] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert spectral_norm(P[3, 4]) == got[3, 4]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spectral_norms_reject_non_finite(bad):
+    P = np.ones((3, 2, 2))
+    P[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norms(P)
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(P[1])
