@@ -109,7 +109,8 @@ def _cmd_scan(args, out: Path) -> int:
     _write(out, "scan.csv", fbsolver.scan_csv(report))
     print(f"scan: {steps} points on [0, {t_max:g}]; "
           f"{len(report.sign_change_brackets)} sign-change bracket(s) "
-          f"for det Phi22: {report.sign_change_brackets}")
+          f"for det Phi22: {report.sign_change_brackets}; "
+          f"{len(report.unresolved_brackets)} more within its rounding floor")
     return 0
 
 

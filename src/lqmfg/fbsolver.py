@@ -14,7 +14,7 @@ problem; all of them step the RK4 maps of `odecore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,12 +73,16 @@ class FBSolution:
 
 @dataclass
 class ScanReport:
-    """det Phi22_t and det Phi21_t over a horizon scan, with sign brackets."""
+    """det Phi22_t and det Phi21_t over a horizon scan, with the sign
+    changes of det Phi22: resolved brackets, and unresolved ones where an
+    end lies within the rounding floor of the determinant."""
 
     grid: np.ndarray
     det22: np.ndarray
     det21: np.ndarray
     sign_change_brackets: list[tuple[float, float]]
+    unresolved_brackets: list[tuple[float, float]] = field(
+        default_factory=list)
 
 
 def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
@@ -181,7 +185,11 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
     Phi_t is the fundamental solution of the equilibrium system, anchored
     at 0 and sampled on a uniform grid of steps intervals.  Sign changes
     of det Phi22 bracket horizons T0 at which the equilibrium system
-    loses unique solvability.  t_max must be positive and finite.
+    loses unique solvability.  A sign change counts only when |det Phi22|
+    at both ends exceeds its rounding floor n eps prod_i |row_i of Phi22|
+    (Hadamard's bound scaled by the rounding of the determinant); the
+    others, which the grid values cannot resolve, are reported apart.
+    t_max must be positive and finite.
     """
     if not 0.0 < t_max < np.inf:
         raise ValueError(f"scan horizon must be positive and finite, "
@@ -192,11 +200,18 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
     samples = fundamental_solution(Msched, 0.0, grid).samples
     det22 = np.linalg.det(samples[:, n:, n:])
     det21 = np.linalg.det(samples[:, n:, :n])
-    brackets = [(float(grid[k]), float(grid[k + 1]))
-                for k in range(grid.size - 1)
-                if det22[k] * det22[k + 1] < 0.0]
+    floor = n * np.finfo(float).eps * np.prod(
+        np.linalg.norm(samples[:, n:, n:], axis=-1), axis=-1)
+    clear = np.abs(det22) > floor
+    flips = np.flatnonzero(det22[:-1] * det22[1:] < 0.0)
+    resolved = clear[flips] & clear[flips + 1]
+
+    def brackets(ks):
+        return [(float(grid[k]), float(grid[k + 1])) for k in ks]
+
     return ScanReport(grid=grid, det22=det22, det21=det21,
-                      sign_change_brackets=brackets)
+                      sign_change_brackets=brackets(flips[resolved]),
+                      unresolved_brackets=brackets(flips[~resolved]))
 
 
 def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
@@ -352,10 +367,10 @@ def fbsolution_csv(sol: FBSolution) -> str:
     n = sol.xi.shape[1]
     header = ("t," + ",".join(f"xi_{i+1}" for i in range(n))
               + "," + ",".join(f"eta_{i+1}" for i in range(n)))
-    return csv_text(header, ([t, *sol.xi[k], *sol.eta[k]]
-                             for k, t in enumerate(sol.grid)))
+    return csv_text(header,
+                    np.column_stack([sol.grid, sol.xi, sol.eta]).tolist())
 
 
 def scan_csv(report: ScanReport) -> str:
-    return csv_text("t,det_phi22,det_phi21",
-                    zip(report.grid, report.det22, report.det21))
+    return csv_text("t,det_phi22,det_phi21", np.column_stack(
+        [report.grid, report.det22, report.det21]).tolist())

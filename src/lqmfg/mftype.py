@@ -141,8 +141,8 @@ def mftype_csv(sol: MFTypeSolution) -> str:
     n = sol.ybar.shape[1]
     header = ("t," + ",".join(f"ybar_{i+1}" for i in range(n))
               + "," + ",".join(f"pbar_{i+1}" for i in range(n)))
-    return csv_text(header, ([t, *sol.ybar[k], *sol.pbar[k]]
-                             for k, t in enumerate(sol.grid)))
+    return csv_text(header,
+                    np.column_stack([sol.grid, sol.ybar, sol.pbar]).tolist())
 
 
 def comparison_text(res: ComparisonResult) -> str:

@@ -10,18 +10,22 @@ Two forms of the same classical fixed-step RK4 scheme:
   M in batched numpy.  Every linear object of the package comes from
   them: shooting, fundamental solutions and the scans, the Radon backward
   pass, |||phi|||, and through `_sweep` the symmetric Riccati pair and
-  both appendix routes.
+  both appendix routes.  No Python loop runs over the steps:
+  `_compose_prefix` composes the maps by recursive doubling, which
+  `_rk4_linear` applies to the start value and `_sweep` applies within
+  blocks of about sqrt(K) steps.
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
 principal PSD square roots, and spectral norms (from the Gram matrix,
 without an SVD).
 Backward problems are integrated by the substitution tau = T - t, so
-each form has a single forward stepping loop.
+each form only ever steps forward.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -190,24 +194,37 @@ def _midpoints(y: np.ndarray) -> np.ndarray:
     return mean - (d2[:-1] + d2[1:]) / 16.0
 
 
+def _compose_prefix(E: np.ndarray, f: np.ndarray | None = None):
+    """Running compositions of the affine maps y -> E_k y + f_k along the
+    step axis (-3): P_k = E_k ... E_0 and the offsets g_k, so that
+    y_{k+1} = P_k y_0 + g_k.  Leading axes are a batch.  Recursive
+    doubling: after the pass with shift s each entry composes its 2s
+    latest maps, so ceil(log2 K) batched products reach every prefix.
+    Returns P, shaped like E, and g, shaped like f (None without f)."""
+    P = np.array(E, dtype=float)
+    g = None if f is None else np.array(f, dtype=float)
+    K = P.shape[-3]
+    s = 1
+    while s < K:
+        if g is not None:
+            g[..., s:, :, :] += P[..., s:, :, :] @ g[..., :-s, :, :]
+        P[..., s:, :, :] = P[..., s:, :, :] @ P[..., :-s, :, :]
+        s *= 2
+    return P, g
+
+
 def _rk4_linear(M: Schedule, y0, grid, source=None,
                 backward: bool = False) -> np.ndarray:
     """RK4 path of y' = M(t) y + s(t) by `_step_maps`, from y(0) = y0 (or
-    y(T) = y0 with backward=True); shape (K+1,) + y0.shape.  Raises
+    y(T) = y0 with backward=True); shape (K+1,) + y0.shape.  Every grid
+    value comes from the composed step maps of `_compose_prefix`.  Raises
     IntegrationOverflow at the first non-finite grid value."""
     y0 = np.asarray(y0, dtype=float)
     E, f = _step_maps(M, grid, source, backward)
     K = E.shape[0]
     Y0 = y0.reshape(y0.shape[0], -1)
-    out = np.empty((K + 1,) + Y0.shape)
-    out[0] = Y0
-    if f is None:
-        for Ek, yk, yn in zip(E, out[:-1], out[1:]):
-            np.matmul(Ek, yk, out=yn)
-    else:
-        for Ek, fk, yk, yn in zip(E, f, out[:-1], out[1:]):
-            np.matmul(Ek, yk, out=yn)
-            yn += fk
+    P, g = _compose_prefix(E, f)
+    out = np.concatenate([Y0[None], P @ Y0 if g is None else P @ Y0 + g])
 
     path = out.reshape((K + 1,) + y0.shape)
     bad = ~np.isfinite(out[1:].reshape(K, -1)).all(axis=1)
@@ -227,31 +244,41 @@ def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
 
     The backward maps y(t_k) = B_k y(t_{k+1}) + g_k of `_step_maps` carry
     the decoupling p = Gamma x + zeta from T to 0 as a linear-fractional
-    (Moebius) map: with (W1; W2) = B_k (I; Gamma_{k+1}) and
-    (v1; v2) = B_k (0; zeta_{k+1}) + g_k, Gamma_k = W2 W1^-1 and
-    zeta_k = v2 - Gamma_k v1.  Given x0, the forward pass
-    x_{k+1} = W1_k^-1 (x_k - v1_k) runs on the same maps.  source holds s
-    at the stages of each step, shape (K, 3, 2n).  Returns Gamma (K+1, n, n),
-    zeta (K+1, n) (None without source and cT) and x (K+1, n) (None
-    without x0).
+    (Moebius) map: with (W1; W2) = B (I; Gamma) and (v1; v2) =
+    B (0; zeta) + g for the affine map y -> B y + g from a frame
+    (Gamma, zeta) at a later time, Gamma = W2 W1^-1 and
+    zeta = v2 - Gamma v1 at the earlier one.  The K maps are taken in
+    blocks of L = floor(sqrt K) steps (the last padded with identities):
+    the frame is carried across block starts one block map at a time, and
+    every grid value comes from its block's start frame through the
+    within-block compositions of `_compose_prefix`, never through a
+    product over more than one block.  Given x0, the forward pass
+    x_{k+1} = W1_k^-1 (x_k - v1_k) of the single-step maps is affine and
+    is composed the same way.  source holds s at the stages of each step,
+    shape (K, 3, 2n).  Returns Gamma (K+1, n, n), zeta (K+1, n) (None
+    without source and cT) and x (K+1, n) (None without x0).
     """
     grid = np.asarray(grid, dtype=float)
     n, K = GT.shape[0], grid.size - 1
     maps, shifts = _step_maps(M, grid, source, backward=True)
-    Gamma = np.empty((K + 1, n, n))
-    Gamma[K] = GT
     affine = source is not None or cT is not None
-    zeta = np.zeros((K + 1, n))
+    d, L = 2 * n, math.isqrt(K)
+    blocks = -(-K // L)
+    pad = blocks * L - K
+    E = np.concatenate([maps, np.broadcast_to(np.eye(d), (pad, d, d))])
+    f = None if shifts is None else np.concatenate(
+        [shifts, np.zeros((pad, d, 1))]).reshape(blocks, L, d, 1)
+    P, g = _compose_prefix(E.reshape(blocks, L, d, d), f)
+    Gs, zs = np.empty((blocks, n, n)), np.zeros((blocks, n))
+    Gs[0] = GT
     if cT is not None:
-        zeta[K] = cT
-    for k, Bk in zip(range(K - 1, -1, -1), maps):
-        W = Bk[:, :n] + Bk[:, n:] @ Gamma[k + 1]
-        Gamma[k] = np.linalg.solve(W[:n].T, W[n:].T).T
-        if affine:
-            v = Bk[:, n:] @ zeta[k + 1]
-            if shifts is not None:
-                v += shifts[K - 1 - k, :, 0]
-            zeta[k] = v[n:] - Gamma[k] @ v[:n]
+        zs[0] = cT
+    for b in range(1, blocks):
+        Gs[b], zs[b] = _moebius(P[b - 1, -1], None if g is None else
+                                g[b - 1, -1], Gs[b - 1], zs[b - 1])
+    Gamma, zeta = _moebius(P, g, Gs[:, None], zs[:, None])
+    Gamma = np.concatenate([Gamma.reshape(-1, n, n)[K - 1::-1], Gs[:1]])
+    zeta = np.concatenate([zeta.reshape(-1, n)[K - 1::-1], zs[:1]])
     x = None
     if x0 is not None:
         B = maps[::-1]                  # B[k] takes y(t_{k+1}) to y(t_k)
@@ -259,11 +286,27 @@ def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
         v1 = np.einsum("kij,kj->ki", B[:, :n, n:], zeta[1:])
         if shifts is not None:
             v1 += shifts[::-1, :n, 0]
+        Px, gx = _compose_prefix(W1inv, -(W1inv @ v1[..., None]))
         x = np.empty((K + 1, n))
         x[0] = x0
-        for k in range(K):
-            x[k + 1] = W1inv[k] @ (x[k] - v1[k])
+        x[1:] = Px @ x[0] + gx[..., 0]
     return Gamma, zeta if affine else None, x
+
+
+def _moebius(P, g, Gamma, zeta):
+    """The frame (Gamma, zeta) of p = Gamma x + zeta carried by the affine
+    map y -> P y + g, y = (x; p), batched over leading axes:
+    (W1; W2) = P (I; Gamma), (v1; v2) = P (0; zeta) + g, and the carried
+    frame is W2 W1^-1 and v2 - W2 W1^-1 v1."""
+    n = Gamma.shape[-1]
+    W = P[..., :n] + P[..., n:] @ Gamma
+    v = P[..., n:] @ zeta[..., None]
+    if g is not None:
+        v = v + g
+    Gamma = np.linalg.solve(np.swapaxes(W[..., :n, :], -1, -2),
+                            np.swapaxes(W[..., n:, :], -1, -2))
+    Gamma = np.swapaxes(Gamma, -1, -2)
+    return Gamma, v[..., n:, 0] - (Gamma @ v[..., :n, :])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -193,10 +193,7 @@ def riccati_csv(path: RiccatiPath) -> str:
                              for i in range(n) for j in range(n))
     if path.aux is not None:
         header += "," + ",".join(f"zeta_{i+1}" for i in range(n))
-    rows = []
-    for k, t in enumerate(path.grid):
-        row = [t, *path.gamma[k].reshape(-1)]
-        if path.aux is not None:
-            row.extend(path.aux[k])
-        rows.append(row)
-    return csv_text(header, rows)
+    columns = [path.grid, path.gamma.reshape(path.grid.size, -1)]
+    if path.aux is not None:
+        columns.append(path.aux)
+    return csv_text(header, np.column_stack(columns).tolist())

@@ -4,7 +4,11 @@ Simulates the coupled game dx^i = (A x^i + B v^i + Abar mean_{j!=i} x^j) dt
 + sigma dW^i by Euler-Maruyama, alongside the decoupled limit system in
 which the empirical mean is replaced by the precomputed deterministic
 path xi.  Both consume identical Wiener increments per player (common
-random numbers), so the sigma = 0 gap is exactly zero.
+random numbers).  At sigma = 0 with deterministic x0 every player of the
+coupled system sits at the limit path, so the gap is zero up to rounding:
+exactly zero only while the others' mean, formed as (S - x)/(N - 1) from
+the players' sum S, rounds back to x at every step, which floating point
+does not guarantee.
 
 Randomness comes from the counter-based Philox generator (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), one stream per
@@ -271,9 +275,10 @@ def equilibrium_law(spec: ProblemSpec, grid: np.ndarray):
 def _euler_mean_path(spec: ProblemSpec, co: _SampledCoeffs, grid: np.ndarray,
                      law: FeedbackLaw) -> np.ndarray:
     """Mean path of the limit system under the same Euler scheme and the
-    same operations the players use, so that with sigma = 0 and
-    deterministic x0 the coupled and limit systems coincide exactly step
-    by step."""
+    same operations the players use.  With sigma = 0 and deterministic x0
+    the coupled and limit systems then coincide step by step, bit for bit
+    while the coupled players' mean of the others (S - x)/(N - 1) rounds
+    back to their common state x, and within rounding otherwise."""
     steps = grid.size - 1
     dt = grid[1] - grid[0]
     m = np.empty((steps + 1, spec.n))

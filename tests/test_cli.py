@@ -31,7 +31,9 @@ def test_scan_reproduces_paper_values(tmp_path, capsys):
     assert header == ["t", "det_phi22", "det_phi21"]
     assert abs(float(rows[830][1]) - 0.1244555) < 1e-4
     assert abs(float(rows[860][1]) - (-0.1295142)) < 1e-4
-    assert "bracket" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 sign-change bracket(s)" in out
+    assert "0 more within its rounding floor" in out
 
 
 def test_validate_rejects_indefinite_Q(tmp_path, capsys):
@@ -458,6 +460,45 @@ def test_bad_steps_and_horizon_exit_1_before_solving(tmp_path, capsys,
     assert err.startswith("ERROR: ") and message in err
     assert len(err.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+def test_path_csv_writers_format_every_value_as_its_repr():
+    # each path writer's rows against repr(float(x)) of each sample, with
+    # signed zero, a subnormal-range value, nan and both infinities
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 1e-300, np.nan, np.inf, -np.inf, 1.0 / 3.0])
+    K, n = 7, 2
+    grid = np.linspace(0.0, 0.6, K)
+
+    def path(*shape):
+        values = rng.normal(size=(K,) + shape)
+        values.reshape(K, -1)[:, 0] = np.resize(special, K)
+        return values
+
+    xi, eta, gamma, aux = path(n), path(n), path(n, n), path(n)
+    det22, det21 = path(), path()
+
+    def reference(header, *columns):
+        rows = zip(*(np.reshape(c, (K, -1)) for c in columns))
+        return "\n".join([header] + [",".join(repr(float(v)) for part in row
+                                              for v in part)
+                                     for row in rows]) + "\n"
+
+    gamma_head = "t,gamma_11,gamma_12,gamma_21,gamma_22"
+    assert fbsolution_csv(FBSolution(
+        grid=grid, xi=xi, eta=eta, eta0=eta[0], boundary_residual=0.0,
+        ode_residual=0.0)) == reference("t,xi_1,xi_2,eta_1,eta_2",
+                                        grid, xi, eta)
+    assert scan_csv(ScanReport(grid=grid, det22=det22, det21=det21,
+                               sign_change_brackets=[])) == reference(
+        "t,det_phi22,det_phi21", grid, det22, det21)
+    assert riccati_csv(RiccatiPath(grid=grid, gamma=gamma)) == reference(
+        gamma_head, grid, gamma)
+    assert riccati_csv(RiccatiPath(grid=grid, gamma=gamma, aux=aux)) == (
+        reference(gamma_head + ",zeta_1,zeta_2", grid, gamma, aux))
+    assert mftype_csv(MFTypeSolution(
+        grid=grid, ybar=xi, pbar=eta, boundary_residual=0.0)) == reference(
+        "t,ybar_1,ybar_2,pbar_1,pbar_2", grid, xi, eta)
 
 
 def test_csv_writers_reproduce_reference_text():

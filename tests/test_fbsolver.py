@@ -112,6 +112,19 @@ def test_scan_locates_second_example_horizon(spec_ex2):
                - T0) < 1e-8
 
 
+@pytest.mark.parametrize("steps", [100, 400, 1000, 4000])
+def test_scan_counts_only_resolved_sign_changes(spec_ex1, steps):
+    # on [0, 10] det Phi22 of counterexample_2d_1 vanishes twice, at
+    # 0.84522 and 2.79378 (a 60-digit product of the same step maps);
+    # beyond t ~ 7 it lies below its rounding floor and its grid signs
+    # are noise, which the scan reports apart
+    scan = existence_scan(spec_ex1, 10.0, steps)
+    assert len(scan.sign_change_brackets) == 2
+    for (lo, hi), root in zip(scan.sign_change_brackets, (0.84522, 2.79378)):
+        assert lo < root < hi
+    assert all(lo > 5.0 for lo, _ in scan.unresolved_brackets)
+
+
 def test_scan_zero_coefficients_identity():
     spec = scalar_spec(a=0.0, b=0.0, q=0.0, r=1.0, delta=0.5)
     scan = existence_scan(spec, 1.0, 100)

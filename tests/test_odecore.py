@@ -9,7 +9,8 @@ from conftest import rk4_by_piece, stage_reader
 from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
-                           _midpoints, _rk4_linear, _step_maps, _sweep,
+                           _compose_prefix, _midpoints, _rk4_linear,
+                           _step_maps, _sweep,
                            fundamental_solution, inv_sqrt, psd_sqrt,
                            rk4_integrate, rk4_integrate_backward,
                            spectral_norm, spectral_norms)
@@ -242,6 +243,108 @@ def test_sweep_forward_pass_matches_shooting_and_radon(name, request):
     radon = solve_nonsymmetric_radon(spec, grid)
     scale = 1.0 + np.max(np.abs(Gamma))
     assert np.max(np.abs(Gamma - radon.gamma)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 17, 1000])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("with_offsets", [False, True])
+def test_compose_prefix_matches_sequential_composition(K, batch,
+                                                       with_offsets):
+    rng = np.random.default_rng(K)
+    d, c = 3, 2
+    # maps near the identity, as RK4 steps are, so K = 1000 stays finite
+    E = np.eye(d) + rng.normal(scale=0.05, size=batch + (K, d, d))
+    f = rng.normal(size=batch + (K, d, c)) if with_offsets else None
+    P, g = _compose_prefix(E, f)
+    P_ref = np.empty_like(E)
+    g_ref = np.zeros(batch + (K, d, c))
+    run = np.broadcast_to(np.eye(d), batch + (d, d))
+    offset = np.zeros(batch + (d, c))
+    for k in range(K):
+        run = E[..., k, :, :] @ run
+        P_ref[..., k, :, :] = run
+        if f is not None:
+            offset = E[..., k, :, :] @ offset + f[..., k, :, :]
+            g_ref[..., k, :, :] = offset
+    assert P.shape == E.shape
+    assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+    if f is None:
+        assert g is None
+    else:
+        assert g.shape == f.shape
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+def _sweep_per_step(M, GT, grid, source=None, cT=None, x0=None):
+    """The backward Riccati sweep one step map at a time: the reference
+    for `_sweep`, which composes the maps."""
+    n, K = GT.shape[0], grid.size - 1
+    maps, shifts = _step_maps(M, grid, source, backward=True)
+    Gamma = np.empty((K + 1, n, n))
+    Gamma[K] = GT
+    zeta = np.zeros((K + 1, n))
+    if cT is not None:
+        zeta[K] = cT
+    for k, Bk in zip(range(K - 1, -1, -1), maps):
+        W = Bk[:, :n] + Bk[:, n:] @ Gamma[k + 1]
+        Gamma[k] = np.linalg.solve(W[:n].T, W[n:].T).T
+        v = Bk[:, n:] @ zeta[k + 1]
+        if shifts is not None:
+            v += shifts[K - 1 - k, :, 0]
+        zeta[k] = v[n:] - Gamma[k] @ v[:n]
+    x = None
+    if x0 is not None:
+        x = np.empty((K + 1, n))
+        x[0] = x0
+        for k, Bk in zip(range(K), maps[::-1]):
+            W1 = Bk[:n, :n] + Bk[:n, n:] @ Gamma[k + 1]
+            v1 = Bk[:n, n:] @ zeta[k + 1]
+            if shifts is not None:
+                v1 += shifts[K - 1 - k, :n, 0]
+            x[k + 1] = np.linalg.solve(W1, x[k] - v1)
+    return Gamma, zeta, x
+
+
+def _hamiltonian(rng, n, starts):
+    """A piecewise Hamiltonian system [[A, -BB*], [-Q, -A*]] with PSD BB*
+    and Q, so that the Riccati sweep from a PSD terminal weight has no
+    pole, switching at the given times."""
+    pieces = []
+    for t in starts:
+        A = rng.normal(scale=0.7, size=(n, n))
+        B = rng.normal(size=(n, n))
+        C = rng.normal(size=(n, n))
+        pieces.append((t, np.block([[A, -B @ B.T], [-C @ C.T, -A.T]])))
+    return Schedule.piecewise(pieces)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 16, 50, 401])
+@pytest.mark.parametrize("affine", [False, True])
+def test_sweep_matches_per_step_sweep(K, affine):
+    # piecewise n = 2, breakpoints on a grid point (for K >= 4) and inside
+    # a step; K = 1, 2, 3 leave blocks of one step, 401 is no square
+    rng = np.random.default_rng(K)
+    n, T = 2, 1.3
+    grid = uniform_grid(T, K)
+    starts = [0.0, 0.377 * T] + ([float(grid[K // 2])] if K >= 4 else [])
+    M = _hamiltonian(rng, n, sorted(set(starts)))
+    C = rng.normal(size=(n, n))
+    GT = C @ C.T
+    source = rng.normal(size=(K, 3, 2 * n)) if affine else None
+    cT = rng.normal(size=n) if affine else None
+    x0 = rng.normal(size=n)
+    Gamma, zeta, x = _sweep(M, GT, grid, source, cT, x0)
+    Gamma_ref, zeta_ref, x_ref = _sweep_per_step(M, GT, grid, source, cT, x0)
+    pairs = [(Gamma, Gamma_ref), (x, x_ref)]
+    if affine:
+        pairs.append((zeta, zeta_ref))
+    else:
+        assert zeta is None
+    for new, old in pairs:
+        assert new.shape == old.shape
+        scale = 1.0 + np.max(np.abs(old))
+        assert np.max(np.abs(new - old)) <= 1e-12 * scale
+    assert np.array_equal(Gamma[-1], GT)
 
 
 def test_fundamental_solution_zero_field_is_identity():
