@@ -112,7 +112,8 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
     normed in batches of times t, each against the samples s >= the
     batch's first t, since the integral reads no s < t.  A batch's
     integrals over s >= t come from one `_tail_trapezoid`, which adds
-    only non-negative terms, from T backwards.
+    only non-negative terms, from T backwards.  Raises ValueError where
+    Phi(t, 0) cannot be inverted (LinAlgError) or the norm is not finite.
     """
     Phi = _rk4_linear(A_sched, np.eye(sqrtQ.shape[-1]), grid)
     G = np.einsum("sji,sjk->sik", Phi, sqrtQ)          # phi(s,0)^T Qs^1/2
@@ -126,6 +127,8 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
         norms2 = spectral_norms(prod) ** 2              # (hi-lo, K-lo)
         best = max(best, float(np.max(
             terminal[lo:hi] + _tail_trapezoid(norms2, grid[lo:]))))
+    if not np.isfinite(best):
+        raise ValueError("the norm is not finite")
     return float(np.sqrt(best))
 
 
@@ -146,7 +149,8 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
     + |||Seff|||, and of its strict "< 1" verdict under `name`.
 
     An undefined norm leaves the norms unset and makes the verdict
-    "undefined" with the reason, never an exception.
+    "undefined" with the reason, never an exception.  With Abar = 0 the
+    lhs is |||Seff|||, and |||phi||| is left unset if it is undefined.
     """
     report = ConditionReport()
 
@@ -175,7 +179,12 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
             return undefined(
                 f"running weight must be positive definite: {exc}")
 
-    phi = _phi_weighted_norm(spec.A, sqrtQ, sqrtQT, grid)
+    try:
+        phi = _phi_weighted_norm(spec.A, sqrtQ, sqrtQT, grid)
+    except ValueError as exc:
+        if not abar_zero:
+            return undefined(f"|||phi||| is undefined on this grid: {exc}")
+        phi = None
 
     if abar_zero:
         abar = 0.0
@@ -200,7 +209,8 @@ def _mainthm_norms(spec: ProblemSpec, grid: np.ndarray, name: str,
             s = max(s, spectral_norm(inv_sqrtQT @ S_terminal @ inv_sqrtQT))
 
     report.phi_norm, report.abar_norm, report.s_norm = phi, abar, s
-    report.mainthm_lhs = float(np.sqrt(spec.T) * phi * abar * (1.0 + s) + s)
+    report.mainthm_lhs = (s if abar_zero else
+                          float(np.sqrt(spec.T) * phi * abar * (1.0 + s) + s))
     report.verdicts[name] = _strict_less_one(report.mainthm_lhs)
     return report
 
@@ -253,7 +263,7 @@ def riccati_solvable_verdict(norms: ConditionReport, T: float,
     report's "undefined" verdict.
     """
     phi, abar, s = norms.phi_norm, norms.abar_norm, norms.s_norm
-    if phi is None:
+    if abar is None:
         return Verdict("undefined", reason=norms.verdicts["mainthm"].reason)
     if abar == 0.0:
         verdict = _strict_less_one(s)

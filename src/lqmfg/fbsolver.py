@@ -9,7 +9,9 @@ with Seff = Qbar (I - S).  This module solves it by shooting on the
 fundamental solution Phi_t, scans det of its lower blocks to locate
 horizons where uniqueness fails, and independently solves the same
 problem by the contraction iteration z -> xi of the auxiliary control
-problem; all of them step the RK4 maps of `odecore`.
+problem; all of them step the RK4 maps of `odecore`.  Shooting is one
+two-point solver (`_TwoPoint`) per system: each fixed-point iterate pays
+only for its source offsets.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from .coeffs import (ProblemSpec, Schedule, csv_text, sample, system_blocks,
                      uniform_grid)
-from .odecore import _rk4_linear, fundamental_solution, stage_source
+from .odecore import (_doublings, _step_maps, _step_offsets,
+                      fundamental_solution, stage_source, step_pieces)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
@@ -95,61 +98,58 @@ def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     return M, blocks.GT
 
 
-def shoot_affine_tpbvp(M: Schedule, source, x0, GT, cT, grid):
-    """Shooting solve of d/dt (x; p) = M(t)(x; p) + source(t) with
-    x(0) = x0 and terminal condition p(T) = GT x(T) + cT.
+class _TwoPoint:
+    """d/dt (x; p) = M(t)(x; p) + s(t) on one grid, x(0) = x0 and p(T) =
+    GT x(T) + cT, by superposition shooting.  Built once: the levels of
+    the doubling (`odecore._doublings`) of M's RK4 step maps, the columns
+    (x0; 0) and (0; I), and the boundary operator N = (GT, -I) (0; I) at T,
+    whose condition number `cond` must be finite and at most COND_LIMIT
+    (else SingularShootingMatrix).  A `solve` pays only for its source."""
 
-    source is None or the source at the stages of each step, shape
-    (K, 3, 2n).  One forward RK4 pass integrates the particular solution
-    and the n homogeneous columns seeded by p(0) = e_i; the terminal
-    condition then determines p(0) from an n x n linear system.  Returns
-    (x path, p path, p0, condition number of the boundary operator).
-    Raises SingularShootingMatrix when that operator's condition number
-    exceeds COND_LIMIT, or when the returned path misses the terminal
-    condition by more than BOUNDARY_RTOL (1 + |p(T)|).
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    cT = np.asarray(cT, dtype=float).reshape(-1)
-    n = x0.size
-    Y0 = np.zeros((2 * n, n + 1))
-    Y0[:n, 0] = x0
-    Y0[n:, 1:] = np.eye(n)
-    if source is not None:
-        # the source drives the particular column only
-        source_cols = np.zeros(np.shape(source)[:2] + Y0.shape)
-        source_cols[..., 0] = source
-        source = source_cols
+    def __init__(self, M: Schedule, x0, GT, grid):
+        self.n = n = GT.shape[0]
+        self.Mk = sample(M, step_pieces(M, grid)[0])
+        self.hk = np.diff(grid)[:, None, None]
+        P = _step_maps(M, grid)[0]
+        self.levels = [(s, P[s:].copy()) for s in _doublings(P)]
+        Y = np.concatenate([np.eye(2 * n)[None], P])
+        self.base, self.cols = Y[:, :, :n] @ np.asarray(x0, float), Y[:, :, n:]
+        self.C = np.hstack([GT, -np.eye(n)])
+        self.N = self.C @ self.cols[-1]
+        self.cond = (float(np.linalg.cond(self.N))
+                     if np.all(np.isfinite(self.N)) else float("inf"))
+        if not self.cond <= COND_LIMIT:
+            raise SingularShootingMatrix(self.cond)
 
-    path = _rk4_linear(M, Y0, grid, source)
-    YT = path[-1]
-    C = np.hstack([GT, -np.eye(n)])
-    N = C @ YT[:, 1:]
-    cond = float(np.linalg.cond(N))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularShootingMatrix(cond)
-    rhs = -(C @ YT[:, 0]) - cT
-    p0 = np.linalg.solve(N, rhs)
-    w = path[:, :, 0] + path[:, :, 1:] @ p0
-    x, p = w[:, :n], w[:, n:]
-    miss = float(np.linalg.norm(GT @ x[-1] + cT - p[-1]))
-    if not miss <= BOUNDARY_RTOL * (1.0 + np.linalg.norm(p[-1])):
-        raise SingularShootingMatrix(
-            cond, f"shooting lost accuracy: boundary residual {miss:.3e} "
-                  f"exceeds {BOUNDARY_RTOL:.0e} (1 + |p(T)|) at condition "
-                  f"number {cond:.3e}")
-    return x, p, p0, cond
+    def solve(self, source=None, cT=0.0):
+        """The paths x and p under the stage sources (K, 3, 2n) and cT;
+        raises SingularShootingMatrix when they miss the terminal
+        condition by more than BOUNDARY_RTOL (1 + |p(T)|)."""
+        w = self.base.copy()
+        if source is not None:
+            g = _step_offsets(self.Mk, self.hk, source[..., None])[..., 0]
+            for s, P in self.levels:
+                g[s:] += np.einsum("kij,kj->ki", P, g[:-s])
+            w[1:] += g
+        w += self.cols @ np.linalg.solve(self.N, -(self.C @ w[-1]) - cT)
+        miss = float(np.linalg.norm(self.C @ w[-1] + cT))
+        if not miss <= BOUNDARY_RTOL * (1.0 + np.linalg.norm(w[-1, self.n:])):
+            raise SingularShootingMatrix(
+                self.cond, f"shooting lost accuracy: boundary residual "
+                f"{miss:.3e} exceeds {BOUNDARY_RTOL:.0e} (1 + |p(T)|) at "
+                f"condition number {self.cond:.3e}")
+        return w[:, :self.n], w[:, self.n:]
 
 
-def _ode_defect(grid, xi, eta, M: Schedule) -> float:
-    """Max defect of the paths against the right-hand side, measured by a
-    5-point (4th-order) finite-difference re-differencing on interior points.
-    Stencils with a breakpoint of M strictly inside [t_{k-2}, t_{k+2}] are
-    skipped: every RK4 step reads one piece, so the path is smooth on each
-    closed piece but not across a breakpoint."""
+def _fb_solution(M: Schedule, GT, grid, xi, eta, **diagnostics):
+    """FBSolution of paths of d/dt (xi; eta) = M(t)(xi; eta), eta(T) =
+    GT xi(T), with their boundary residual and, as ODE residual, their max
+    defect against M by a 5-point (4th-order) re-differencing on interior
+    points (NaN with none).  Stencils with a breakpoint of M strictly in
+    [t_{k-2}, t_{k+2}] are skipped: every RK4 step reads one piece, so the
+    path is smooth on each closed piece but not across a breakpoint."""
     w = np.hstack([xi, eta])
     K = grid.size - 1
-    if K < 4:
-        return float("nan")
     h = grid[1] - grid[0]
     dw = (-w[4:] + 8.0 * w[3:-1] - 8.0 * w[1:-3] + w[:-4]) / (12.0 * h)
     rhs = np.einsum("kij,kj->ki", sample(M, grid[2:K - 1]), w[2:K - 1])
@@ -157,7 +157,11 @@ def _ode_defect(grid, xi, eta, M: Schedule) -> float:
     b = np.reshape(M.breakpoints, (-1, 1))
     keep = ((grid[4:] < b + tol) | (grid[:-4] > b - tol)).all(axis=0)
     defect = np.abs(dw - rhs)[keep]
-    return float(defect.max()) if defect.size else float("nan")
+    return FBSolution(
+        grid=grid, xi=xi, eta=eta, eta0=eta[0],
+        boundary_residual=float(np.linalg.norm(eta[-1] - GT @ xi[-1])),
+        ode_residual=float(defect.max()) if defect.size else float("nan"),
+        **diagnostics)
 
 
 def solve_equilibrium_shooting(spec: ProblemSpec,
@@ -169,14 +173,9 @@ def solve_equilibrium_shooting(spec: ProblemSpec,
     the signature of a horizon where uniqueness fails.
     """
     Msched, GT = equilibrium_system(spec)
-    zero = np.zeros(spec.n)
-    xi, eta, eta0, cond = shoot_affine_tpbvp(
-        Msched, None, spec.x0_mean, GT, zero, grid)
-    boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
-    defect = _ode_defect(grid, xi, eta, Msched)
-    return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
-                      boundary_residual=boundary, ode_residual=defect,
-                      shooting_condition=cond)
+    shooting = _TwoPoint(Msched, spec.x0_mean, GT, grid)
+    return _fb_solution(Msched, GT, grid, *shooting.solve(),
+                        shooting_condition=shooting.cond)
 
 
 def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
@@ -241,13 +240,11 @@ def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
     return 0.5 * (lo + hi)
 
 
-def q_weighted_norm(spec: ProblemSpec, grid: np.ndarray, v: np.ndarray) -> float:
-    """The Hilbert-space norm ||v||_Q^2 = v_T* QT v_T + int_0^T v* Q v dt,
-    with the integral by trapezoid on the grid."""
-    Qvals = sample(spec.Q, grid)
+def q_weighted_norm(Qvals, QT, grid, v) -> float:
+    """The Hilbert-space norm ||v||_Q^2 = v_T* QT v_T + int_0^T v* Q v dt
+    from Q's samples on the grid, the integral by trapezoid."""
     quad = np.einsum("ki,kij,kj->k", v, Qvals, v)
-    terminal = float(v[-1] @ spec.QT @ v[-1])
-    return float(np.sqrt(np.trapezoid(quad, grid) + terminal))
+    return float(np.sqrt(np.trapezoid(quad, grid) + v[-1] @ QT @ v[-1]))
 
 
 def _aux_inner_system(spec: ProblemSpec) -> tuple[Schedule, Schedule, Schedule]:
@@ -264,10 +261,10 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,
                         tol: float = 1e-10, max_iter: int = 60) -> FBSolution:
     """Solve the equilibrium system by iterating the map z -> xi.
 
-    Each inner step solves the classical LQ two-point problem with source
-    terms Abar_t z_t and Qbar_t(I-S_t) z_t by shooting (terminal operator
-    QT, always well posed), then replaces z by the resulting xi.  Stops
-    when ||xi - z||_Q < tol.  The initial iterate is z = 0.
+    Each inner step solves the classical LQ two-point problem (terminal
+    weight QT) with source terms Abar_t z_t and Qbar_t(I-S_t) z_t, then
+    replaces z by the resulting xi; one `_TwoPoint` serves every step.
+    Stops when ||xi - z||_Q < tol.  The initial iterate is z = 0.
 
     The map is affine, so the successive differences xi - z are a power
     iteration of its linear part, and their ratios tend to its spectral
@@ -281,44 +278,33 @@ def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,
     M0, Abar, Seff = _aux_inner_system(spec)
     Msched, GT = equilibrium_system(spec)
     SeffT = spec.terminal_effective_S
-    n = spec.n
 
     drive = Schedule.combine(lambda Ab, Se: np.vstack([Ab, -Se]), Abar, Seff)
-    source_free = (all(np.all(D == 0) for _, D in drive.values)
-                   and np.all(SeffT == 0))
+    mid, cuts = step_pieces(Msched, grid)
+    drive_k, Qvals = sample(drive, mid), sample(spec.Q, grid)
+    source_free = not (np.any(drive_k) or np.any(SeffT))
+    inner = _TwoPoint(M0, spec.x0_mean, spec.QT, grid)
 
-    def inner_solve(z_path):
-        if z_path is None:
-            source = None
-            cT = np.zeros(n)
-        else:
-            source = stage_source(drive, grid, z_path, Msched)
-            cT = SeffT @ z_path[-1]
-        return shoot_affine_tpbvp(M0, source, spec.x0_mean, spec.QT, cT, grid)
-
-    z = np.zeros((grid.size, n))
+    z = np.zeros((grid.size, spec.n))
     prev_diff = None
     ratio = float("nan")
     ratios = []
     for it in range(1, max_iter + 1):
-        xi, eta, eta0, _ = inner_solve(None if it == 1 else z)
-        diff = q_weighted_norm(spec, grid, xi - z)
+        xi, eta = (inner.solve() if it == 1 else inner.solve(
+            stage_source(drive_k, z, cuts), SeffT @ z[-1]))
+        diff = q_weighted_norm(Qvals, spec.QT, grid, xi - z)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
             ratios.append(ratio)
         if diff < tol or (source_free and it == 1):
-            boundary = float(np.linalg.norm(eta[-1] - GT @ xi[-1]))
-            defect = _ode_defect(grid, xi, eta, Msched)
-            return FBSolution(grid=grid, xi=xi, eta=eta, eta0=eta0,
-                              boundary_residual=boundary, ode_residual=defect,
-                              iterations=it, contraction_ratio=ratio)
+            return _fb_solution(Msched, GT, grid, xi, eta, iterations=it,
+                                contraction_ratio=ratio)
         last = ratios[-3:]
         settled = (len(last) == 3 and min(last) > 1.0
                    and max(last) - min(last) <= SETTLED_RTOL * ratio)
         if settled or not np.all(np.isfinite(xi)) or np.max(np.abs(xi)) > 1e12:
             raise NoConvergence(it, ratio, diverged=True)
-        z = xi
-        prev_diff = diff
+        z, prev_diff = xi, diff
     raise NoConvergence(max_iter, ratio)
 
 

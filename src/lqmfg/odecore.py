@@ -13,7 +13,8 @@ Two forms of the same classical fixed-step RK4 scheme:
   both appendix routes.  No Python loop runs over the steps:
   `_compose_prefix` composes the maps by recursive doubling, which
   `_rk4_linear` applies to the start value and `_sweep` applies within
-  blocks of about sqrt(K) steps.
+  blocks of about sqrt(K) steps.  `fbsolver`'s two-point solver keeps
+  the levels of `_doublings`: a new source costs its `_step_offsets`.
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
@@ -128,11 +129,10 @@ def _step_maps(M: Schedule, grid, source=None,
     check_uniform_grid(taus)
     K = taus.size - 1
     d = M.shape[0]
-    h = taus[1:] - taus[:-1]
     Mk = sample(M, step_pieces(M, grid)[0])
     if backward:
         Mk = -Mk[::-1]
-    hk = h[:, None, None]
+    hk = (taus[1:] - taus[:-1])[:, None, None]
     hh = hk / 2.0
     eye = np.eye(d)
     K2 = Mk @ (eye + hh * Mk)
@@ -151,11 +151,18 @@ def _step_maps(M: Schedule, grid, source=None,
     s = np.asarray(source, dtype=float).reshape(K, 3, d, -1)
     if backward:
         s = -s[::-1, ::-1]
+    return E, _step_offsets(Mk, hk, s)
+
+
+def _step_offsets(Mk, hk, s) -> np.ndarray:
+    """The offsets f_k of `_step_maps` on the pieces Mk (K, d, d) for steps
+    hk (K, 1, 1), from the sources s at their stages (K, 3, d, c)."""
+    hh = hk / 2.0
     g1 = s[:, 0]
-    g2 = Mk @ (hh * g1) + s[:, 1]
-    g3 = Mk @ (hh * g2) + s[:, 1]
-    g4 = Mk @ (hk * g3) + s[:, 2]
-    return E, (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    g2 = np.einsum("kij,kjc->kic", Mk, hh * g1) + s[:, 1]
+    g3 = np.einsum("kij,kjc->kic", Mk, hh * g2) + s[:, 1]
+    g4 = np.einsum("kij,kjc->kic", Mk, hk * g3) + s[:, 2]
+    return (hk / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
 
 
 def step_pieces(M: Schedule, grid) -> tuple[np.ndarray, np.ndarray]:
@@ -165,18 +172,16 @@ def step_pieces(M: Schedule, grid) -> tuple[np.ndarray, np.ndarray]:
     return mid, np.unique([0, mid.size, *np.searchsorted(mid, M.breakpoints)])
 
 
-def stage_source(D: Schedule, grid, z, M: Schedule) -> np.ndarray:
+def stage_source(Dk: np.ndarray, z, cuts) -> np.ndarray:
     """D(t) z(t) at the RK4 stages (t_k, t_k + h/2, t_{k+1}) of each step,
-    shape (K, 3, d): D the step's piece, z its samples at the step ends and
-    `_midpoints` at the midpoint, once per run of `step_pieces` of M, the
-    system z solves, so that no interpolant spans a kink of z."""
-    grid = np.asarray(grid, dtype=float)
-    mid, cuts = step_pieces(M, grid)
-    zs = np.empty((mid.size, 3) + np.shape(z)[1:])
+    shape (K, 3, d): Dk the step pieces of D, z its samples at the step
+    ends and `_midpoints` at the midpoint, per run between the `cuts` of
+    `step_pieces` of M, the system z solves, so no cubic spans a kink."""
+    zs = np.empty((len(Dk), 3) + np.shape(z)[1:])
     zs[:, 0], zs[:, 2] = z[:-1], z[1:]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         zs[lo:hi, 1] = _midpoints(z[lo:hi + 1])
-    return np.einsum("kij,ksj->ksi", sample(D, mid), zs)
+    return np.einsum("kij,ksj->ksi", Dk, zs)
 
 
 def _midpoints(y: np.ndarray) -> np.ndarray:
@@ -203,14 +208,20 @@ def _compose_prefix(E: np.ndarray, f: np.ndarray | None = None):
     Returns P, shaped like E, and g, shaped like f (None without f)."""
     P = np.array(E, dtype=float)
     g = None if f is None else np.array(f, dtype=float)
-    K = P.shape[-3]
-    s = 1
-    while s < K:
+    for s in _doublings(P):
         if g is not None:
             g[..., s:, :, :] += P[..., s:, :, :] @ g[..., :-s, :, :]
+    return P, g
+
+
+def _doublings(P: np.ndarray):
+    """The passes of `_compose_prefix` on P, in place: each yields its
+    shift s before composing every entry with the one s steps earlier."""
+    s = 1
+    while s < P.shape[-3]:
+        yield s
         P[..., s:, :, :] = P[..., s:, :, :] @ P[..., :-s, :, :]
         s *= 2
-    return P, g
 
 
 def _rk4_linear(M: Schedule, y0, grid, source=None,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ProblemSpec, Schedule, csv_text, system_blocks
+from .coeffs import ProblemSpec, Schedule, csv_text, sample, system_blocks
 from .fbsolver import COND_LIMIT, equilibrium_system
 from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
                       rk4_integrate_backward, stage_source, step_pieces)
@@ -79,7 +79,8 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray,
     if z is not None:
         drive = Schedule.combine(lambda Ab, Qb, S: np.vstack([Ab, Qb @ S]),
                                  spec.Abar, spec.Qbar, spec.S)
-        source = stage_source(drive, grid, z, equilibrium_system(spec)[0])
+        mid, cuts = step_pieces(equilibrium_system(spec)[0], grid)
+        source = stage_source(sample(drive, mid), z, cuts)
         cT = -spec.QbarT @ spec.ST @ z[-1]
     Xi, zeta, _ = _sweep(H, spec.QT + spec.QbarT, grid, source, cT)
     Xi = (Xi + Xi.transpose(0, 2, 1)) / 2.0

@@ -160,6 +160,19 @@ def test_solve_with_lost_shooting_accuracy_exits_2(tmp_path, capsys):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_mftype_with_lost_shooting_accuracy_exits_2(tmp_path, capsys):
+    # the mean system of a classical problem is its equilibrium system,
+    # so at T = 20 its shooting loses accuracy as `solve`'s does
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(LOST_ACCURACY)
+    code = main(["mftype", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: ") and "lost accuracy" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "mftype.csv").exists()
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -289,6 +302,39 @@ def test_check_shifted_weight_undefined_when_Seff_is_zero(
     assert lines[-1] == f"shifted_positive_weight: {shifted}"
     _, rows = read_rows(tmp_path / "conditions.csv")
     assert rows[2][:2] == ["shifted_positive_weight", "nan"]
+
+
+# a classical scalar problem whose fundamental solution Phi(t, 0) = e^{-80t}
+# the grid cannot invert: it overflows at 400 steps and underflows at 1000
+FAST_DECAY = LOST_ACCURACY.replace(
+    "const = 0.025684855058411154", "const = -80.0").replace(
+    "const = 1.4594698154980255", "const = 1.0").replace(
+    "const = 0.7305467032119126", "const = 1.0").replace(
+    "const = 3.645387139582785", "const = 0.5")
+
+
+@pytest.mark.parametrize("steps", [None, "1000"])
+@pytest.mark.parametrize("abar, verdicts, lhs", [
+    ("0.0", ["satisfied", "satisfied", "satisfied"], "0.0"),
+    ("0.1", ["undefined", "undefined", "undefined"], "nan"),
+])
+def test_check_when_phi_norm_is_undefined(tmp_path, capsys, steps, abar,
+                                          verdicts, lhs):
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text(FAST_DECAY.replace("[Abar]\nconst = 0.0",
+                                      f"[Abar]\nconst = {abar}"))
+    args = ["check", "--config", str(cfg), "--out", str(tmp_path)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args + (["--steps", steps] if steps else [])) == 0
+    out = capsys.readouterr().out
+    assert not any(line.startswith("|||phi||| =") for line in out.split("\n"))
+    _, rows = read_rows(tmp_path / "conditions.csv")
+    found = {row[0]: row[1:] for row in rows}
+    assert found["mainthm"] == [lhs, "1.0", verdicts[0]]
+    assert found["shifted_positive_weight"] == [lhs, "1.0", verdicts[1]]
+    assert found["riccati_solvable"][2] == verdicts[2]
+    if abar != "0.0":
+        assert "mainthm: undefined [|||phi||| is undefined on this grid" in out
 
 
 def test_mftype_verb(tmp_path, capsys):

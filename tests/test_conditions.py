@@ -5,12 +5,14 @@ import pytest
 from scipy.integrate import trapezoid
 
 from conftest import random_contractive_scalar_spec, scalar_spec, stage_reader
-from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
+from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, sample,
+                          uniform_grid)
 from lqmfg.conditions import (AppendixParams, _strict_less_one, _tail_trapezoid,
                               appendix_adjoint_route,
                               appendix_feedback_condition, appendix_feedback_riccati,
                               appendix_report, check_riccati_solvable,
-                              check_shifted, compute_L, compute_mainthm_norms)
+                              check_shifted, compute_L, compute_mainthm_norms,
+                              riccati_solvable_verdict)
 from lqmfg.fbsolver import fixed_point_iterate, solve_equilibrium_shooting
 from lqmfg.odecore import fundamental_solution
 from lqmfg.riccati import solve_nonsymmetric_radon
@@ -76,6 +78,32 @@ def test_mainthm_undefined_for_singular_QT_with_terminal_deviation():
     spec = scalar_spec(a=0.0, abar=0.1, q=1.0, qT=0.0, qbarT=1.0, sT=0.0)
     report = compute_mainthm_norms(spec, build_grid(spec, 50))
     assert report.verdicts["mainthm"].status == "undefined"
+
+
+@pytest.mark.parametrize("steps", [400, 1000])
+def test_phi_norm_beyond_the_grid_leaves_only_verdicts_that_need_it(steps):
+    # A = -80 on [0, 20]: at 400 steps the RK4 factor per step is 5, so
+    # Phi(t, 0) overflows; at 1000 steps it is 0.27 and Phi underflows to
+    # a singular matrix.  Either way |||phi||| cannot be evaluated.
+    classical = scalar_spec(a=-80.0, T=20.0, q=1.0, r=1.0, qT=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = compute_mainthm_norms(classical, uniform_grid(20.0, steps))
+        # without mean-field terms the lhs is |||Seff||| = 0, phi unused
+        assert report.phi_norm is None
+        assert report.mainthm_lhs == 0.0
+        assert report.verdicts["mainthm"].status == "satisfied"
+        assert riccati_solvable_verdict(report, 20.0, None).status == (
+            "satisfied")
+
+        coupled = scalar_spec(a=-80.0, abar=0.1, T=20.0, q=1.0, r=1.0,
+                              qT=0.5)
+        report = compute_mainthm_norms(coupled, uniform_grid(20.0, steps))
+    verdict = report.verdicts["mainthm"]
+    assert verdict.status == "undefined"
+    assert verdict.reason.startswith("|||phi||| is undefined on this grid")
+    assert report.mainthm_lhs is None
+    solvable = riccati_solvable_verdict(report, 20.0, None)
+    assert (solvable.status, solvable.reason) == ("undefined", verdict.reason)
 
 
 def test_mainthm_report_invariant(spec_benchmark):
@@ -360,7 +388,7 @@ def _appendix_oracle(p, grid):
     P and rho at each step's stages.  An independent route to what
     `odecore._sweep` gives both appendix routes."""
     from lqmfg.odecore import (rk4_integrate, rk4_integrate_backward,
-                               stage_source)
+                               stage_source, step_pieces)
 
     k2 = p.b ** 2 / p.r
 
@@ -373,7 +401,9 @@ def _appendix_oracle(p, grid):
 
     pi, P, rho = rk4_integrate_backward(field, np.zeros(3), grid).T
     eye = Schedule.constant(np.eye(2))
-    offsets = stage_reader(stage_source(eye, grid, np.stack([P, rho], 1), eye))
+    mid, cuts = step_pieces(eye, grid)
+    offsets = stage_reader(stage_source(sample(eye, mid),
+                                        np.stack([P, rho], 1), cuts))
 
     def mean_field(t, z):
         P_t, rho_t = offsets()

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import scalar_spec
-from lqmfg.coeffs import ProblemSpec, build_grid, uniform_grid
-from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix,
+from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, sample,
+                          uniform_grid)
+from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix, _TwoPoint,
                             equilibrium_control_law, equilibrium_system,
                             existence_scan, fbsolution_csv,
                             fixed_point_iterate, q_weighted_norm,
                             refine_singular_horizon,
                             solve_equilibrium_shooting)
-from lqmfg.odecore import rk4_integrate
+from lqmfg.odecore import _rk4_linear, rk4_integrate
 from lqmfg.riccati import solve_symmetric
 
 T0_BRACKET = (0.83, 0.86)
@@ -286,7 +289,8 @@ def test_q_weighted_norm_matches_hand_value():
     spec = scalar_spec(q=2.0, qT=3.0)
     grid = uniform_grid(1.0, 100)
     v = np.ones((101, 1))
-    assert abs(q_weighted_norm(spec, grid, v) - np.sqrt(5.0)) < 1e-12
+    Qvals = sample(spec.Q, grid)
+    assert abs(q_weighted_norm(Qvals, spec.QT, grid, v) - np.sqrt(5.0)) < 1e-12
 
 
 def test_fbsolution_csv_header_and_rows(spec_benchmark):
@@ -325,3 +329,124 @@ def test_shooting_raises_when_it_misses_the_terminal_condition():
     spec = scalar_spec(T=5.0, **coeffs)
     sol = solve_equilibrium_shooting(spec, build_grid(spec, 2000))
     assert sol.boundary_residual < 1e-8
+
+
+def test_fixed_point_builds_its_step_maps_once(monkeypatch, spec_benchmark):
+    # every iterate solves the same two-point problem, so the step maps
+    # and their doubling are formed once, whatever the iteration count
+    from lqmfg import fbsolver, odecore
+
+    counts = {}
+    for name in ("_step_maps", "_doublings"):
+        def counting(*args, _name=name, _inner=getattr(odecore, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _inner(*args)
+
+        for module in (fbsolver, odecore):
+            monkeypatch.setattr(module, name, counting)
+    grid = build_grid(spec_benchmark, 400)
+    iterations = []
+    for tol in (1e-4, 1e-13):
+        counts.clear()
+        iterations.append(fixed_point_iterate(spec_benchmark, grid,
+                                              tol=tol).iterations)
+        assert counts == {"_step_maps": 1, "_doublings": 1}
+    assert 5 <= iterations[0] < iterations[1]
+
+
+@st.composite
+def two_point_problems(draw):
+    """A piecewise 2n x 2n system (n in 1..3) switching at grid points,
+    a terminal weight GT, x0, stage sources and a terminal offset cT."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    K = draw(st.integers(1, 40))
+    grid = uniform_grid(draw(st.sampled_from([0.3, 1.0, 1.7])), K)
+    starts = {0.0, *(float(grid[k]) for k in draw(
+        st.lists(st.integers(1, K), max_size=3)) if k < K)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = Schedule.piecewise([(t, rng.normal(size=(2 * n, 2 * n)))
+                            for t in sorted(starts)])
+    return (M, rng.normal(size=n), rng.normal(size=(n, n)), grid,
+            rng.normal(size=(K, 3, 2 * n)), rng.normal(size=n))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(two_point_problems())
+def test_two_point_solve_matches_rk4_from_its_p0(problem):
+    M, x0, GT, grid, source, cT = problem
+    try:
+        x, p = _TwoPoint(M, x0, GT, grid).solve(source, cT)
+    except SingularShootingMatrix:
+        assume(False)
+    path = _rk4_linear(M, np.concatenate([x0, p[0]]), grid, source)
+    scale = max(float(np.max(np.abs(path))), 1.0)
+    assert np.max(np.abs(np.hstack([x, p]) - path)) <= 1e-12 * scale
+    n = x0.size
+    miss = path[-1, n:] - GT @ path[-1, :n] - cT
+    assert np.max(np.abs(miss)) <= 1e-12 * scale * (1.0 + np.abs(GT).sum())
+
+
+def _psd(rng, k, scale=1.0, floor=0.0):
+    W = rng.normal(size=(k, k))
+    return scale * (W @ W.T) / k + floor * np.eye(k)
+
+
+def _contraction_spec(rng, breaks: int) -> ProblemSpec:
+    """The benchmark generator's contraction-regime recipes, weak
+    mean-field coupling: scalar and constant for breaks = 0, else 2-d
+    with A, Q and Qbar each switching `breaks` times.  The switch times
+    are distinct multiples of 4 steps of the 200-step grid, so no piece
+    of the merged schedule is shorter than 4 steps."""
+    c = Schedule.constant
+    T = float(rng.uniform(0.4, 1.2))
+    if breaks == 0:
+        s = lambda v: c(np.array([[float(v)]]))
+        return ProblemSpec(
+            n=1, m=1, T=T, A=s(rng.uniform(-1.0, 1.0)),
+            Abar=s(rng.uniform(-0.3, 0.3)), B=s(rng.uniform(0.5, 1.5)),
+            sigma=s(0.3), Q=s(rng.uniform(0.5, 2.0)),
+            Qbar=s(rng.uniform(0.0, 0.3)), R=s(rng.uniform(0.5, 2.0)),
+            S=s(rng.uniform(0.0, 1.0)),
+            QT=np.array([[rng.uniform(0.0, 1.0)]]), QbarT=np.zeros((1, 1)),
+            ST=np.ones((1, 1)), x0_mean=np.array([rng.uniform(-2.0, 2.0)]),
+            delta=0.25)
+    n = 2
+    steps = 4 * rng.choice(np.arange(1, 50), size=3 * breaks, replace=False)
+    times = T * steps.reshape(3, breaks) / 200
+
+    def piecewise(at, draw):
+        return Schedule.piecewise([(t, draw()) for t in [0.0, *sorted(at)]])
+
+    return ProblemSpec(
+        n=n, m=n, T=T,
+        A=piecewise(times[0], lambda: rng.normal(scale=0.5, size=(n, n))),
+        Abar=c(rng.normal(scale=0.1, size=(n, n))),
+        B=c(np.eye(n) + rng.normal(scale=0.2, size=(n, n))),
+        sigma=c(0.2 * np.eye(n)),
+        Q=piecewise(times[1], lambda: _psd(rng, n, floor=0.5)),
+        Qbar=piecewise(times[2], lambda: _psd(rng, n, scale=0.1)),
+        R=c(_psd(rng, n, scale=0.5, floor=0.5)),
+        S=c(float(rng.uniform(0.0, 1.0)) * np.eye(n)),
+        QT=_psd(rng, n, scale=0.5), QbarT=np.zeros((n, n)), ST=np.eye(n),
+        x0_mean=rng.normal(size=n), delta=0.25)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_fixed_point_agrees_with_shooting_on_contraction_specs(seed, breaks):
+    spec = _contraction_spec(np.random.default_rng(seed), breaks)
+    grid = build_grid(spec, 200)
+    assert grid.size == 201
+    shoot = solve_equilibrium_shooting(spec, grid)
+    fp = fixed_point_iterate(spec, grid)
+    scale = max(float(np.max(np.abs(shoot.xi))), 1.0)
+    assert np.max(np.abs(fp.xi - shoot.xi)) <= 1e-9 * scale
+
+
+def test_shooting_whose_step_maps_overflow_is_singular():
+    # Phi(t, 0) grows like e^{400 t} and overflows before T = 2: the
+    # boundary operator is not finite, so shooting reports it singular
+    spec = scalar_spec(a=400.0, T=2.0, qT=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularShootingMatrix, match="number inf"):
+            solve_equilibrium_shooting(spec, uniform_grid(2.0, 2000))

@@ -230,15 +230,17 @@ def _pair_oracle(spec, grid, z=None):
     restarted at every breakpoint with z read at each step's stages: an
     independent route to the pair that `solve_symmetric` takes from the
     Hamiltonian step maps."""
-    from lqmfg.coeffs import Schedule, system_blocks
+    from lqmfg.coeffs import system_blocks
     from lqmfg.fbsolver import equilibrium_system
-    from lqmfg.odecore import stage_source
+    from lqmfg.odecore import stage_source, step_pieces
 
     n = spec.n
     BRB = system_blocks(spec).BRB
     M = equilibrium_system(spec)[0]
+    mid, cuts = step_pieces(M, grid)
     z_at = (lambda: np.zeros(n)) if z is None else stage_reader(
-        stage_source(Schedule.constant(np.eye(n)), grid, z, M), backward=True)
+        stage_source(np.broadcast_to(np.eye(n), (mid.size, n, n)), z, cuts),
+        backward=True)
 
     def field_at(c):
         A, G, Abar = spec.A.at(c), BRB.at(c), spec.Abar.at(c)
