@@ -98,8 +98,9 @@ def compute_L(spec: ProblemSpec) -> float:
     a_abar_sup = sup(Schedule.combine(np.add, spec.A, spec.Abar))
     astar_sup = sup(spec.A)
     gterm = spectral_norm(blocks.GT)
-    return float(T * (gterm ** 2 + qs_sup) * brb_sup
-                 * np.exp((2 * a_abar_sup + 2 * astar_sup + brb_sup + qs_sup) * T))
+    with np.errstate(over="ignore"):  # L = inf is the answer, not a warning
+        growth = np.exp((2 * a_abar_sup + 2 * astar_sup + brb_sup + qs_sup) * T)
+    return float(T * (gterm ** 2 + qs_sup) * brb_sup * growth)
 
 
 def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
@@ -118,15 +119,17 @@ def _phi_weighted_norm(A_sched: Schedule, sqrtQ: np.ndarray,
     Phi = _rk4_linear(A_sched, np.eye(sqrtQ.shape[-1]), grid)
     G = np.einsum("sji,sjk->sik", Phi, sqrtQ)          # phi(s,0)^T Qs^1/2
     X = np.linalg.inv(Phi).transpose(0, 2, 1)          # phi(t,0)^-T
-    terminal = spectral_norms(X @ (Phi[-1].T @ sqrtQ_terminal)) ** 2
     K = grid.size
     best = 0.0
-    for lo in range(0, K, PHI_BLOCK):
-        hi = min(lo + PHI_BLOCK, K)
-        prod = np.einsum("tij,sjk->tsik", X[lo:hi], G[lo:], optimize=True)
-        norms2 = spectral_norms(prod) ** 2              # (hi-lo, K-lo)
-        best = max(best, float(np.max(
-            terminal[lo:hi] + _tail_trapezoid(norms2, grid[lo:]))))
+    # squares past the float range are caught below as a non-finite norm
+    with np.errstate(over="ignore"):
+        terminal = spectral_norms(X @ (Phi[-1].T @ sqrtQ_terminal)) ** 2
+        for lo in range(0, K, PHI_BLOCK):
+            hi = min(lo + PHI_BLOCK, K)
+            prod = np.einsum("tij,sjk->tsik", X[lo:hi], G[lo:], optimize=True)
+            norms2 = spectral_norms(prod) ** 2          # (hi-lo, K-lo)
+            best = max(best, float(np.max(
+                terminal[lo:hi] + _tail_trapezoid(norms2, grid[lo:]))))
     if not np.isfinite(best):
         raise ValueError("the norm is not finite")
     return float(np.sqrt(best))

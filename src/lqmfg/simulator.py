@@ -19,17 +19,18 @@ sequential, so a smaller draw is a prefix of a larger one: the first N
 players' draws do not depend on N, and each replication is drawn once,
 at the largest N, for every N.
 
-Euler stepping works on a stacked state of shape (runs, replications,
-N, n): the coupled and limit runs of the gap estimate, or the base and
-deviation runs of the probe, all sharing the block's draws.
-Replications are processed in blocks whose draws fit in _BLOCK_BYTES,
-so memory does not grow with the replication count and results do not
-depend on the block size.
+The gap estimate steps a stacked state of shape (2, replications, N, n):
+the coupled and limit runs, sharing the block's draws.  Replications are
+processed in blocks whose draws fit in _BLOCK_BYTES, so memory does not
+grow with the replication count and results do not depend on the block
+size.  The epsilon-Nash probe steps no N-player state: it reduces each
+replication's draws to player 1's and the others' mean, and steps the
+exact 2n-dimensional recursion of that pair (see epsilon_nash_probe).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +48,8 @@ _BLOCK_BYTES = 2 * 2**20  # standard normals held per block of replications
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo settings: player counts, replication count, master seed,
-    Euler step, and the Gaussian initial distribution (mean, covariance)."""
+    Euler step, and the Gaussian initial distribution (mean, covariance).
+    x0_root is the covariance's PSD square root, formed once here."""
 
     N_values: tuple[int, ...]
     paths: int
@@ -55,6 +57,7 @@ class SimConfig:
     dt: float
     x0_mean: np.ndarray
     x0_cov: np.ndarray
+    x0_root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "N_values",
@@ -75,7 +78,7 @@ class SimConfig:
         if cov.shape != (n, n):
             raise ValueError(f"x0_cov must be {n}x{n}, got shape {cov.shape}")
         try:
-            psd_sqrt(cov)
+            object.__setattr__(self, "x0_root", psd_sqrt(cov))
         except ValueError as exc:
             raise ValueError(f"x0_cov: {exc}") from None
 
@@ -140,7 +143,7 @@ def draw_initials_and_noise(spec: ProblemSpec, cfg: SimConfig, N: int,
     n = spec.n
     z = replication_stream(cfg.seed, replication).standard_normal(
         (N, (steps + 1) * n)).reshape(N, steps + 1, n)
-    x0 = cfg.x0_mean + _mv(psd_sqrt(cfg.x0_cov), z[:, 0])
+    x0 = cfg.x0_mean + _mv(cfg.x0_root, z[:, 0])
     dW = z[:, 1:].transpose(1, 0, 2)
     dW *= np.sqrt(spec.T / steps)
     return x0, dW
@@ -163,9 +166,11 @@ def _replication_blocks(spec: ProblemSpec, cfg: SimConfig, N: int,
 
 
 class _SampledCoeffs:
-    """Coefficient matrices sampled once per grid index."""
+    """The Euler step and the coefficient matrices sampled once per grid
+    index."""
 
     def __init__(self, spec: ProblemSpec, grid: np.ndarray):
+        self.dt = grid[1] - grid[0]
         self.A = sample(spec.A, grid)
         self.Abar = sample(spec.Abar, grid)
         self.B = sample(spec.B, grid)
@@ -203,48 +208,47 @@ def _quad(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x * _mv(M, x)).sum(axis=-1)
 
 
-def _euler(spec: ProblemSpec, co: _SampledCoeffs, law: FeedbackLaw,
-           x0: np.ndarray, dW: np.ndarray, runs: int = 1,
-           xi: np.ndarray | None = None,
-           lead: tuple[np.ndarray, np.ndarray] | None = None,
-           costed: slice = slice(None), observe=None) -> np.ndarray:
-    """Euler-Maruyama on `runs` stacked copies of a replication block;
-    returns the costs (runs, R, players in `costed`).
+def _empirical_mean(xi: np.ndarray | None = None):
+    """others_mean for N players: each sees (S - x)/(N - 1), from the
+    players' sum S.  With xi given, the last run is the McKean-Vlasov limit
+    system, in which every player sees the deterministic mean path xi."""
+    def others_mean(k, x):
+        m = x.sum(axis=-2, keepdims=True) - x
+        m /= x.shape[-2] - 1
+        if xi is not None:
+            m[-1] = xi[k]
+        return m
+    return others_mean
 
-    Every run starts at x0 (R, N, n) and consumes the increments dW
-    (steps, R, N, n); the state has shape (runs, R, N, n).  Players see
-    the empirical mean of the others, except that with xi given the last
-    run is the McKean-Vlasov limit system, in which every player sees the
-    deterministic mean path xi.  lead = (gain, shift), stacked over runs,
-    replaces player 0's feedback.  observe(k, x) sees the state at every
-    grid index k.
+
+def _euler(spec: ProblemSpec, co: _SampledCoeffs, gain: np.ndarray,
+           shift: np.ndarray, x0: np.ndarray, dW: np.ndarray, others_mean,
+           runs: int = 1, observe=None) -> np.ndarray:
+    """Euler-Maruyama on `runs` stacked copies of the players x0 (..., n);
+    returns their costs (runs, ...).
+
+    The state starts at x0 broadcast over runs and consumes the increments
+    dW[k], which broadcast against it.  At grid index k each player plays
+    v = -(gain[k] x + shift[k]), with gain[k] and shift[k] broadcast
+    against the state, and sees the mean of the others others_mean(k, x).
+    observe(k, x) sees the state at every grid index k.
     """
     steps = dW.shape[0]
-    N = x0.shape[-2]
-    dt = law.grid[1] - law.grid[0]
+    dt = co.dt
     x = np.broadcast_to(x0, (runs,) + x0.shape).copy()
-    if lead is not None:
-        lead_gain, lead_shift = lead[0][:, :, None], lead[1][:, :, None]
-    costs = np.zeros(x[..., costed, 0].shape)
+    costs = np.zeros(x.shape[:-1])
     prev = None
     # overflow is a reported outcome (non-finite states), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             if observe is not None:
                 observe(k, x)
-            m = x.sum(axis=-2, keepdims=True) - x
-            m /= N - 1
-            if xi is not None:
-                m[-1] = xi[k]
-            v = _mv(law.gain[k], x)
-            v += law.shift[k]
+            m = others_mean(k, x)
+            v = _mv(gain[k], x)
+            v += shift[k]
             np.negative(v, out=v)
-            if lead is not None:
-                v[..., 0, :] = -(_mv(lead_gain[:, k], x[..., 0, :])
-                                 + lead_shift[:, k])
-            xs, vs, ms = x[..., costed, :], v[..., costed, :], m[..., costed, :]
-            dev = xs - _mv(co.S[k], ms)
-            integrand = (_quad(co.Q[k], xs) + _quad(co.R[k], vs)
+            dev = x - _mv(co.S[k], m)
+            integrand = (_quad(co.Q[k], x) + _quad(co.R[k], v)
                          + _quad(co.Qbar[k], dev))
             if prev is not None:
                 costs += 0.5 * dt * (prev + integrand)
@@ -257,9 +261,8 @@ def _euler(spec: ProblemSpec, co: _SampledCoeffs, law: FeedbackLaw,
             drift *= dt
             x += drift
             x += _mv(co.sigma[k], dW[k])
-        xs = x[..., costed, :]
-        devT = xs - _mv(spec.ST, m[..., costed, :])
-        costs += _quad(spec.QT, xs) + _quad(spec.QbarT, devT)
+        devT = x - _mv(spec.ST, m)
+        costs += _quad(spec.QT, x) + _quad(spec.QbarT, devT)
     costs *= 0.5
     return costs
 
@@ -315,7 +318,8 @@ def simulate_nplayer(spec: ProblemSpec, law: FeedbackLaw, cfg: SimConfig,
     def record(k, x):
         states[k] = x[0, 0]
 
-    costs = _euler(spec, co, law, x0[None], dW[:, None], observe=record)
+    costs = _euler(spec, co, law.gain, law.shift, x0[None], dW[:, None],
+                   _empirical_mean(), observe=record)
     if not np.all(np.isfinite(states)):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise FloatingPointError(
@@ -376,8 +380,9 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
                 d = x[0] - x[1]
                 np.maximum(sup_sq, (d * d).sum(axis=-1), out=sup_sq)
 
-            costs = _euler(spec, co, law, x0[:, :N], dW[:, :, :N], runs=2,
-                           xi=xi, observe=track)
+            costs = _euler(spec, co, law.gain, law.shift, x0[:, :N],
+                           dW[:, :, :N], _empirical_mean(xi), runs=2,
+                           observe=track)
             gaps[j, block] = sup_sq.mean(axis=-1)
             cost_gaps[j, block] = np.abs(costs[0] - costs[1]).mean(axis=-1)
 
@@ -392,15 +397,47 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
                       cost_gap_slope_stderr=c_se)
 
 
+def _player_one_and_others_mean(spec: ProblemSpec, cfg: SimConfig, N: int,
+                                steps: int):
+    """x0 (paths, 2, n) and dW (steps, paths, 2, n): row 0 holds player 1's
+    draws, row 1 the mean of the other N - 1 players' draws.  Each
+    replication is drawn and reduced on its own."""
+    x0 = np.empty((cfg.paths, 2, spec.n))
+    dW = np.empty((steps, cfg.paths, 2, spec.n))
+    for k in range(cfg.paths):
+        x0_k, dW_k = draw_initials_and_noise(spec, cfg, N, steps, k)
+        x0[k, 0], x0[k, 1] = x0_k[0], x0_k[1:].mean(axis=0)
+        dW[:, k, 0], dW[:, k, 1] = dW_k[:, 0], dW_k[:, 1:].mean(axis=1)
+    return x0, dW
+
+
+def _pair_mean(N: int):
+    """others_mean for the pair (x^1, M) of player 1 and the mean of the
+    other N - 1 players: player 1 sees M, and the others' mean of the
+    others is (x^1 + (N-2) M)/(N-1)."""
+    def others_mean(k, y):
+        x1, M = y[..., :1, :], y[..., 1:, :]
+        return np.concatenate([M, (x1 + (N - 2) * M) / (N - 1)], axis=-2)
+    return others_mean
+
+
 def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
                        deviation_thetas: tuple[float, ...] = DEFAULT_THETAS,
                        include_best_response: bool = True) -> ProbeReport:
     """Cost change for player 1 under unilateral deviations.
 
     Candidates are the equilibrium law scaled by each theta plus the
-    frozen-mean best response from the Riccati route.  The base run and
-    one run per candidate are stacked and share the replication's
-    increments, so theta = 1 gives exactly zero.
+    frozen-mean best response from the Riccati route.  The others all play
+    the equilibrium law v = -(G x + g) and the Euler map is affine, so
+    their mean M follows a closed recursion driven by player 1's x^1:
+
+        M' = M + dt (A M + B vbar + Abar (x^1 + (N-2) M)/(N-1)) + sigma dWbar
+
+    with vbar = -(G M + g), and dWbar and M at t = 0 the means of the
+    others' own draws.  Player 1 sees exactly M, so its costs need only
+    (x^1, v^1, M).  The base run and one run per candidate step this
+    state, of dimension 2n, for all replications at once, from the
+    N-player game's draws, so theta = 1 gives exactly zero.
     """
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
@@ -411,16 +448,17 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
     if include_best_response:
         deviations.append(("best_response",
                            best_response_law(spec, grid, sol.xi)))
-    leads = [law] + [dev_law for _, dev_law in deviations]
-    lead = (np.stack([lw.gain for lw in leads]),
-            np.stack([lw.shift for lw in leads]))
-
-    diffs = np.empty((len(deviations), cfg.paths))
-    for block, x0, dW in _replication_blocks(spec, cfg, N, steps):
-        costs = _euler(spec, co, law, x0, dW, runs=len(leads), lead=lead,
-                       costed=slice(0, 1))[..., 0]
-        diffs[:, block] = costs[1:] - costs[0]
-    mean, stderr = _mean_and_stderr(diffs)
+    # gain and shift per grid index, run, (paths) and pair row: player 1
+    # plays the run's candidate, the others' mean the equilibrium law
+    laws = [law] + [dev_law for _, dev_law in deviations]
+    gain = np.stack([np.stack([lw.gain, law.gain], axis=1) for lw in laws],
+                    axis=1)[:, :, None]
+    shift = np.stack([np.stack([lw.shift, law.shift], axis=1) for lw in laws],
+                     axis=1)[:, :, None]
+    x0, dW = _player_one_and_others_mean(spec, cfg, N, steps)
+    costs = _euler(spec, co, gain, shift, x0, dW, _pair_mean(N),
+                   runs=len(laws))[..., 0]
+    mean, stderr = _mean_and_stderr(costs[1:] - costs[0])
     return ProbeReport(labels=tuple(lbl for lbl, _ in deviations),
                        cost_diff=mean, stderr=stderr)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -324,8 +326,12 @@ def test_check_when_phi_norm_is_undefined(tmp_path, capsys, steps, abar,
     cfg.write_text(FAST_DECAY.replace("[Abar]\nconst = 0.0",
                                       f"[Abar]\nconst = {abar}"))
     args = ["check", "--config", str(cfg), "--out", str(tmp_path)]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(args + (["--steps", steps] if steps else [])) == 0
+    # L = inf and the undefined norm are outcomes, not numpy warnings
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
     out = capsys.readouterr().out
     assert not any(line.startswith("|||phi||| =") for line in out.split("\n"))
     _, rows = read_rows(tmp_path / "conditions.csv")

@@ -340,3 +340,75 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
         for field in dataclasses.fields(want):
             np.testing.assert_array_equal(getattr(got, field.name),
                                           getattr(want, field.name))
+
+
+def stacked_probe(spec, cfg, N, thetas):
+    """The probe as a full N-player simulation: the base run and one run
+    per candidate, stacked over (runs, replications, N, n), every player
+    stepped, player 1's costs read.  Returns the differences
+    (candidates, replications) and the base costs (replications,)."""
+    steps = round(spec.T / cfg.dt)
+    grid = uniform_grid(spec.T, steps)
+    law, sol = equilibrium_law(spec, grid)
+    leads = [law] + [law.scaled(theta) for theta in thetas]
+    leads.append(best_response_law(spec, grid, sol.xi))
+    lead_gain = np.stack([lw.gain for lw in leads])[:, :, None]
+    lead_shift = np.stack([lw.shift for lw in leads])[:, :, None]
+    draws = [draw_initials_and_noise(spec, cfg, N, steps, k)
+             for k in range(cfg.paths)]
+    x0 = np.stack([d[0] for d in draws])              # (R, N, n)
+    dW = np.stack([d[1] for d in draws], axis=1)      # (steps, R, N, n)
+    co = {name: sample(getattr(spec, name), grid)
+          for name in ("A", "Abar", "B", "sigma", "Q", "Qbar", "R", "S")}
+    mv = lambda M, y: np.einsum("...ij,...j->...i", M, y)
+    quad = lambda M, y: (y * mv(M, y)).sum(axis=-1)
+    dt = grid[1] - grid[0]
+    x = np.broadcast_to(x0, (len(leads),) + x0.shape).copy()
+    costs, prev = 0.0, None
+    for k in range(steps + 1):
+        m = (x.sum(axis=-2, keepdims=True) - x) / (N - 1)
+        v = -(mv(law.gain[k], x) + law.shift[k])
+        v[..., 0, :] = -(mv(lead_gain[:, k], x[..., 0, :]) + lead_shift[:, k])
+        x1, v1, m1 = x[..., 0, :], v[..., 0, :], m[..., 0, :]
+        integrand = (quad(co["Q"][k], x1) + quad(co["R"][k], v1)
+                     + quad(co["Qbar"][k], x1 - mv(co["S"][k], m1)))
+        if prev is not None:
+            costs = costs + 0.5 * dt * (prev + integrand)
+        prev = integrand
+        if k == steps:
+            break
+        drift = mv(co["A"][k], x) + mv(co["B"][k], v) + mv(co["Abar"][k], m)
+        x = x + drift * dt + mv(co["sigma"][k], dW[k])
+    x1, m1 = x[..., 0, :], m[..., 0, :]
+    costs = 0.5 * (costs + quad(spec.QT, x1)
+                   + quad(spec.QbarT, x1 - mv(spec.ST, m1)))
+    return costs[1:] - costs[0], costs[0]
+
+
+@pytest.mark.parametrize("N", [2, 3, 9])
+@pytest.mark.parametrize("n", [1, 2])
+def test_probe_recursion_matches_full_n_player_simulation(spec_benchmark,
+                                                          N, n):
+    # the others' mean recursion against every player stepped; at N = 2
+    # the others' mean is the one other player
+    if n == 1:
+        spec = spec_benchmark
+        cfg = make_cfg(spec, N_values=(N,), paths=6, x0_cov=[[0.25]])
+    else:
+        spec = piecewise_2d_spec()
+        cfg = piecewise_2d_cfg(spec)
+    thetas = (0.0, 0.5, 0.9, 1.5, 2.0)
+    diffs, base = stacked_probe(spec, cfg, N, thetas)
+    probe = epsilon_nash_probe(spec, cfg, N, deviation_thetas=thetas)
+    assert probe.labels == ("0", "0.5", "0.9", "1.5", "2", "best_response")
+    mean, stderr = mean_and_stderr(diffs.T)
+    np.testing.assert_allclose(probe.cost_diff[:-1], mean[:-1], rtol=1e-12,
+                               atol=0.0)
+    np.testing.assert_allclose(probe.stderr[:-1], stderr[:-1], rtol=1e-12,
+                               atol=0.0)
+    # the best response's diff is rounding-sized: compare on the costs' scale
+    scale = np.mean(np.abs(base))
+    np.testing.assert_allclose(probe.cost_diff[-1], mean[-1], rtol=0.0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(probe.stderr[-1], stderr[-1], rtol=0.0,
+                               atol=1e-12 * scale)
