@@ -4,11 +4,10 @@ Simulates the coupled game dx^i = (A x^i + B v^i + Abar mean_{j!=i} x^j) dt
 + sigma dW^i by Euler-Maruyama, alongside the decoupled limit system in
 which the empirical mean is replaced by the precomputed deterministic
 path xi.  Both consume identical Wiener increments per player (common
-random numbers).  At sigma = 0 with deterministic x0 every player of the
-coupled system sits at the limit path, so the gap is zero up to rounding:
-exactly zero only while the others' mean, formed as (S - x)/(N - 1) from
-the players' sum S, rounds back to x at every step, which floating point
-does not guarantee.
+random numbers).  Each player's mean of the others is formed from offsets
+to one player, so equal players see exactly their own state: at sigma = 0
+with deterministic x0 every player of the coupled system sits on the limit
+path bit for bit, and the gap is exactly zero.
 
 Randomness comes from the counter-based Philox generator (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), one stream per
@@ -19,13 +18,17 @@ sequential, so a smaller draw is a prefix of a larger one: the first N
 players' draws do not depend on N, and each replication is drawn once,
 at the largest N, for every N.
 
-The gap estimate steps a stacked state of shape (2, replications, N, n):
-the coupled and limit runs, sharing the block's draws.  Replications are
-processed in blocks whose draws fit in _BLOCK_BYTES, so memory does not
-grow with the replication count and results do not depend on the block
-size.  The epsilon-Nash probe steps no N-player state: it reduces each
-replication's draws to player 1's and the others' mean, and steps the
-exact 2n-dimensional recursion of that pair (see epsilon_nash_probe).
+The gap estimate steps, per block of replications, one stacked state of
+shape (2, replications, sum of N, n): the coupled and limit runs, each
+holding every player count side by side on one ragged player axis, where
+group j is the block's first N_j players and shares their draws.  Each
+group sees only its own players' mean, so its estimates do not depend on
+the other player counts.  Replications are processed in blocks whose
+draws, made once at the largest N, fit in _BLOCK_BYTES, so memory does
+not grow with the replication count and results do not depend on the
+block size.  The epsilon-Nash probe steps no N-player state: it reduces
+each replication's draws to player 1's and the others' mean, and steps
+the exact 2n-dimensional recursion of that pair (see epsilon_nash_probe).
 """
 
 from __future__ import annotations
@@ -165,6 +168,20 @@ def _replication_blocks(spec: ProblemSpec, cfg: SimConfig, N: int,
         yield slice(reps.start, reps.stop), x0, dW
 
 
+class _PlayerRows:
+    """Increments dW (steps, R, N, n) read at the given player rows: dW[k]
+    is gathered for one step at a time, so the block is never copied."""
+
+    def __init__(self, dW: np.ndarray, players: np.ndarray):
+        self.dW, self.players = dW, players
+
+    def __len__(self):
+        return len(self.dW)
+
+    def __getitem__(self, k):
+        return np.take(self.dW[k], self.players, axis=1)
+
+
 class _SampledCoeffs:
     """The Euler step and the coefficient matrices sampled once per grid
     index."""
@@ -208,13 +225,34 @@ def _quad(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x * _mv(M, x)).sum(axis=-1)
 
 
-def _empirical_mean(xi: np.ndarray | None = None):
-    """others_mean for N players: each sees (S - x)/(N - 1), from the
-    players' sum S.  With xi given, the last run is the McKean-Vlasov limit
-    system, in which every player sees the deterministic mean path xi."""
+def _group_starts(sizes: np.ndarray) -> np.ndarray:
+    """Index of each group's first player when groups of the given sizes
+    lie side by side on one player axis."""
+    return np.cumsum(sizes) - sizes
+
+
+def _empirical_mean(sizes, xi: np.ndarray | None = None):
+    """others_mean for games of sizes[j] players laid side by side on the
+    player axis: each player sees the mean of the others of its own group,
+    x_ref + (D - d)/(N - 1), from its offset d = x - x_ref to the group's
+    first player and the group's sum of offsets D (one segment sum), so
+    equal players see exactly their own state.  With xi given, the last
+    run is the McKean-Vlasov limit system, in which every player sees the
+    deterministic mean path xi."""
+    sizes = np.asarray(sizes)
+    starts = _group_starts(sizes)
+    first = np.repeat(starts, sizes)
+    divisor = np.repeat(sizes - 1.0, sizes)[:, None]
+
     def others_mean(k, x):
-        m = x.sum(axis=-2, keepdims=True) - x
-        m /= x.shape[-2] - 1
+        m = np.empty_like(x)
+        coupled, out = (x, m) if xi is None else (x[:-1], m[:-1])
+        ref = np.take(coupled, first, axis=-2)
+        d = coupled - ref
+        np.subtract(np.repeat(np.add.reduceat(d, starts, axis=-2), sizes,
+                              axis=-2), d, out=out)
+        out /= divisor
+        out += ref
         if xi is not None:
             m[-1] = xi[k]
         return m
@@ -228,12 +266,13 @@ def _euler(spec: ProblemSpec, co: _SampledCoeffs, gain: np.ndarray,
     returns their costs (runs, ...).
 
     The state starts at x0 broadcast over runs and consumes the increments
-    dW[k], which broadcast against it.  At grid index k each player plays
-    v = -(gain[k] x + shift[k]), with gain[k] and shift[k] broadcast
-    against the state, and sees the mean of the others others_mean(k, x).
+    dW[k], k < len(dW), which broadcast against it.  At grid index k each
+    player plays v = -(gain[k] x + shift[k]), with gain[k] and shift[k]
+    broadcast against the state, and sees the mean of the others
+    others_mean(k, x).
     observe(k, x) sees the state at every grid index k.
     """
-    steps = dW.shape[0]
+    steps = len(dW)
     dt = co.dt
     x = np.broadcast_to(x0, (runs,) + x0.shape).copy()
     costs = np.zeros(x.shape[:-1])
@@ -279,9 +318,8 @@ def _euler_mean_path(spec: ProblemSpec, co: _SampledCoeffs, grid: np.ndarray,
                      law: FeedbackLaw) -> np.ndarray:
     """Mean path of the limit system under the same Euler scheme and the
     same operations the players use.  With sigma = 0 and deterministic x0
-    the coupled and limit systems then coincide step by step, bit for bit
-    while the coupled players' mean of the others (S - x)/(N - 1) rounds
-    back to their common state x, and within rounding otherwise."""
+    the coupled players all see their common state as the others' mean,
+    so the coupled and limit systems coincide step by step, bit for bit."""
     steps = grid.size - 1
     dt = grid[1] - grid[0]
     m = np.empty((steps + 1, spec.n))
@@ -319,7 +357,7 @@ def simulate_nplayer(spec: ProblemSpec, law: FeedbackLaw, cfg: SimConfig,
         states[k] = x[0, 0]
 
     costs = _euler(spec, co, law.gain, law.shift, x0[None], dW[:, None],
-                   _empirical_mean(), observe=record)
+                   _empirical_mean((N,)), observe=record)
     if not np.all(np.isfinite(states)):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise FloatingPointError(
@@ -369,22 +407,30 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
     co = _SampledCoeffs(spec, grid)
     xi = _euler_mean_path(spec, co, grid, law)
 
-    gaps = np.empty((len(cfg.N_values), cfg.paths))
+    # every N of a block on one ragged player axis: group j holds the
+    # block's first N_j players
+    sizes = np.array(cfg.N_values)
+    starts = _group_starts(sizes)
+    players = np.concatenate([np.arange(N) for N in sizes])
+    others_mean = _empirical_mean(sizes, xi)
+
+    def group_means(v):
+        return (np.add.reduceat(v, starts, axis=-1) / sizes).T
+
+    gaps = np.empty((sizes.size, cfg.paths))
     cost_gaps = np.empty_like(gaps)
-    for block, x0, dW in _replication_blocks(spec, cfg, max(cfg.N_values),
-                                             steps):
-        for j, N in enumerate(cfg.N_values):
-            sup_sq = np.zeros(x0.shape[:1] + (N,))
+    for block, x0, dW in _replication_blocks(spec, cfg, sizes.max(), steps):
+        sup_sq = np.zeros(x0.shape[:1] + players.shape)
 
-            def track(k, x):
-                d = x[0] - x[1]
-                np.maximum(sup_sq, (d * d).sum(axis=-1), out=sup_sq)
+        def track(k, x):
+            d = x[0] - x[1]
+            np.maximum(sup_sq, (d * d).sum(axis=-1), out=sup_sq)
 
-            costs = _euler(spec, co, law.gain, law.shift, x0[:, :N],
-                           dW[:, :, :N], _empirical_mean(xi), runs=2,
-                           observe=track)
-            gaps[j, block] = sup_sq.mean(axis=-1)
-            cost_gaps[j, block] = np.abs(costs[0] - costs[1]).mean(axis=-1)
+        costs = _euler(spec, co, law.gain, law.shift, x0[:, players],
+                       _PlayerRows(dW, players), others_mean, runs=2,
+                       observe=track)
+        gaps[:, block] = group_means(sup_sq)
+        cost_gaps[:, block] = group_means(np.abs(costs[0] - costs[1]))
 
     gap_mean, gap_stderr = _mean_and_stderr(gaps)
     cost_mean, cost_stderr = _mean_and_stderr(cost_gaps)

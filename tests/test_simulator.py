@@ -128,6 +128,19 @@ def test_mckean_gap_zero_without_noise():
     assert np.all(report.cost_gap_mean == 0.0)
 
 
+@pytest.mark.parametrize("N_values", [(3, 5, 9), (10, 50, 250)])
+@pytest.mark.parametrize("x0", [0.1, 0.7, 1.0, 1.7, 2.9, 3.3])
+def test_mckean_gap_zero_without_noise_at_any_start(x0, N_values):
+    # equal players see exactly their own state as the others' mean, so
+    # the coupled players sit on the limit path bit for bit from any x0
+    spec = scalar_spec(a=0.2, abar=0.3, b=1.0, sigma=0.0, q=1.0, qbar=0.5,
+                       s=0.5, qT=0.5, sT=1.0, x0=x0, delta=0.5)
+    cfg = make_cfg(spec, N_values=N_values, paths=2)
+    report = mckean_gap(spec, cfg)
+    assert np.all(report.gap_mean == 0.0)
+    assert np.all(report.cost_gap_mean == 0.0)
+
+
 def test_exchangeability_of_player_costs(spec_benchmark):
     cfg = make_cfg(spec_benchmark, N_values=(8,), paths=60, x0_cov=[[0.25]])
     grid = uniform_grid(spec_benchmark.T, 10)
@@ -340,6 +353,34 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
         for field in dataclasses.fields(want):
             np.testing.assert_array_equal(getattr(got, field.name),
                                           getattr(want, field.name))
+
+
+@pytest.mark.parametrize("case", ["piecewise_2d", "benchmark_scalar"])
+def test_gap_rows_do_not_depend_on_their_neighbours(spec_benchmark, case):
+    # every N of a block shares one ragged player axis; each N's row must
+    # be the same bit for bit whatever order, neighbours or duplicates
+    # the player counts come in
+    if case == "piecewise_2d":
+        spec = piecewise_2d_spec()
+        cfg = piecewise_2d_cfg(spec)
+    else:
+        spec = spec_benchmark
+        cfg = make_cfg(spec, N_values=(4, 8, 16), paths=4, x0_cov=[[0.25]])
+
+    def rows(report):
+        return [(N, report.gap_mean[j], report.gap_stderr[j],
+                 report.cost_gap_mean[j], report.cost_gap_stderr[j])
+                for j, N in enumerate(report.N_values)]
+
+    want = {row[0]: row for row in rows(mckean_gap(spec, cfg))}
+    a, b, c = cfg.N_values
+    for N_values in ((c, b, a), (2, b, c, 2 * c + 3), (b, a, b, c)):
+        got = rows(mckean_gap(spec, dataclasses.replace(cfg,
+                                                        N_values=N_values)))
+        assert [row[0] for row in got] == list(N_values)
+        for row in got:
+            if row[0] in want:
+                assert row == want[row[0]]
 
 
 def stacked_probe(spec, cfg, N, thetas):
