@@ -9,6 +9,11 @@ to one player, so equal players see exactly their own state: at sigma = 0
 with deterministic x0 every player of the coupled system sits on the limit
 path bit for bit, and the gap is exactly zero.
 
+Under a linear feedback law each Euler step is one affine map of a
+player's state and the mean it sees, and its trapezoid-weighted cost one
+quadratic form in the two, with coefficients built once per law for the
+whole grid (_AffineSteps).
+
 Randomness comes from the counter-based Philox generator (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), one stream per
 replication k derived statelessly from (seed, k).  A replication draws
@@ -26,9 +31,9 @@ group sees only its own players' mean, so its estimates do not depend on
 the other player counts.  Replications are processed in blocks whose
 draws, made once at the largest N, fit in _BLOCK_BYTES, so memory does
 not grow with the replication count and results do not depend on the
-block size.  The epsilon-Nash probe steps no N-player state: it reduces
-each replication's draws to player 1's and the others' mean, and steps
-the exact 2n-dimensional recursion of that pair (see epsilon_nash_probe).
+block size.  The epsilon-Nash probe steps no N-player state: it steps
+the exact 2n-dimensional recursion of player 1 and the others' mean,
+drawing that mean from its exact law (see epsilon_nash_probe).
 """
 
 from __future__ import annotations
@@ -139,16 +144,20 @@ def draw_initials_and_noise(spec: ProblemSpec, cfg: SimConfig, N: int,
     """x0 samples (N, n) and Wiener increments (steps, N, n) of one
     replication.
 
-    One (N, (steps+1) n) standard-normal block is drawn from the
+    One (N, steps+1, n) standard-normal block is drawn from the
     replication's stream in player-major order: row i holds player i's
     x0 normals, then its increments.  A larger N only appends rows, so
     the first N players' draws do not depend on N."""
-    n = spec.n
-    z = replication_stream(cfg.seed, replication).standard_normal(
-        (N, (steps + 1) * n)).reshape(N, steps + 1, n)
-    x0 = cfg.x0_mean + _mv(cfg.x0_root, z[:, 0])
-    dW = z[:, 1:].transpose(1, 0, 2)
-    dW *= np.sqrt(spec.T / steps)
+    return _initials_and_noise(spec, cfg, replication_stream(
+        cfg.seed, replication).standard_normal((N, steps + 1, spec.n)))
+
+
+def _initials_and_noise(spec: ProblemSpec, cfg: SimConfig, z: np.ndarray):
+    """x0 (..., n) and Wiener increments (steps, ..., n) from standard
+    normals z (..., steps+1, n)."""
+    x0 = cfg.x0_mean + _mv(cfg.x0_root, z[..., 0, :])
+    dW = np.moveaxis(z[..., 1:, :], -2, 0)
+    dW *= np.sqrt(spec.T / (z.shape[-2] - 1))
     return x0, dW
 
 
@@ -182,20 +191,54 @@ class _PlayerRows:
         return np.take(self.dW[k], self.players, axis=1)
 
 
-class _SampledCoeffs:
-    """The Euler step and the coefficient matrices sampled once per grid
-    index."""
+class _AffineSteps:
+    """Per grid index k, the Euler step and cost of players who play
+    v = -(G_k x + g_k) and see the others' mean m, for a gain G (K, ..., m,
+    n) and shift g (K, ..., m) whose middle axes broadcast against the state:
 
-    def __init__(self, spec: ProblemSpec, grid: np.ndarray):
-        self.dt = grid[1] - grid[0]
-        self.A = sample(spec.A, grid)
-        self.Abar = sample(spec.Abar, grid)
-        self.B = sample(spec.B, grid)
-        self.sigma = sample(spec.sigma, grid)
-        self.Q = sample(spec.Q, grid)
-        self.Qbar = sample(spec.Qbar, grid)
-        self.R = sample(spec.R, grid)
-        self.S = sample(spec.S, grid)
+        x' = F_k x + H_k m + c_k + sigma_k dW_k,
+        F_k = I + dt (A_k - B_k G_k),  H_k = dt Abar_k,  c_k = -dt B_k g_k,
+        cost = sum_k x* (Pxx_k x + Pxm_k m + px_k) + m* Pmm_k m + p0_k.
+
+    With Q, R and Qbar symmetric, x* Q x + v* R v + (x - S m)* Qbar (x - S m)
+    gives Pxx = Q + G* R G + Qbar, Pxm = -2 Qbar S, Pmm = S* Qbar S,
+    px = 2 G* R g and p0 = g* R g, each times half the trapezoid weight of
+    index k; the last index also carries half the terminal cost."""
+
+    def __init__(self, spec: ProblemSpec, grid: np.ndarray, gain: np.ndarray,
+                 shift: np.ndarray):
+        axes = tuple(range(1, gain.ndim - 2))
+        A, Abar, B, self.sigma, Q, Qbar, R, S = (
+            np.expand_dims(sample(getattr(spec, name), grid), axes)
+            for name in ("A", "Abar", "B", "sigma", "Q", "Qbar", "R", "S"))
+        dt = grid[1] - grid[0]
+        half = np.full(A.shape[:-2], 0.5 * dt)
+        half[[0, -1]] *= 0.5
+        Gt, Rg, w = np.swapaxes(gain, -1, -2), _mv(R, shift), half[..., None]
+        self.F = np.eye(spec.n) + dt * (A - B @ gain)
+        self.H, self.c = dt * Abar, -dt * _mv(B, shift)
+        self.Pxx = w[..., None] * (Q + Qbar + Gt @ R @ gain)
+        self.Pxm = w[..., None] * (-2.0 * Qbar @ S)
+        self.Pmm = w[..., None] * (np.swapaxes(S, -1, -2) @ Qbar @ S)
+        self.px, self.p0 = 2.0 * w * _mv(Gt, Rg), half * _dot(shift, Rg)
+        self.Pxx[-1] += 0.5 * (spec.QT + spec.QbarT)
+        self.Pxm[-1] -= spec.QbarT @ spec.ST
+        self.Pmm[-1] += 0.5 * spec.ST.T @ spec.QbarT @ spec.ST
+
+    def step(self, k: int, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """F_k x + H_k m + c_k: the step without its noise."""
+        y = _mv(self.F[k], x)
+        y += _mv(self.H[k], m)
+        return np.add(y, self.c[k], out=y)
+
+    def cost(self, k: int, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Index k's share of the cost at (x, m)."""
+        u = _mv(self.Pxx[k], x)
+        u += _mv(self.Pxm[k], m)
+        u += self.px[k]
+        out = _dot(x, u)
+        out += _dot(m, _mv(self.Pmm[k], m))
+        return np.add(out, self.p0[k], out=out)
 
 
 def _law_on_grid(law: FeedbackLaw, grid: np.ndarray) -> FeedbackLaw:
@@ -216,13 +259,16 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     and every stacked entry is computed by the same operations."""
     y = M[..., 0] * x[..., :1]
     for j in range(1, x.shape[-1]):
-        y = y + M[..., j] * x[..., j:j + 1]
+        y += M[..., j] * x[..., j:j + 1]
     return y
 
 
-def _quad(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x* M x over the last axis of x."""
-    return (x * _mv(M, x)).sum(axis=-1)
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x* y over the last axis, summed in index order like _mv."""
+    out = x[..., 0] * y[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j] * y[..., j]
+    return out
 
 
 def _group_starts(sizes: np.ndarray) -> np.ndarray:
@@ -259,50 +305,29 @@ def _empirical_mean(sizes, xi: np.ndarray | None = None):
     return others_mean
 
 
-def _euler(spec: ProblemSpec, co: _SampledCoeffs, gain: np.ndarray,
-           shift: np.ndarray, x0: np.ndarray, dW: np.ndarray, others_mean,
+def _euler(steps: _AffineSteps, x0: np.ndarray, dW: np.ndarray, others_mean,
            runs: int = 1, observe=None) -> np.ndarray:
     """Euler-Maruyama on `runs` stacked copies of the players x0 (..., n);
     returns their costs (runs, ...).
 
     The state starts at x0 broadcast over runs and consumes the increments
     dW[k], k < len(dW), which broadcast against it.  At grid index k each
-    player plays v = -(gain[k] x + shift[k]), with gain[k] and shift[k]
-    broadcast against the state, and sees the mean of the others
-    others_mean(k, x).
+    player sees the mean of the others others_mean(k, x) and takes the
+    affine step of `steps`, whose law axes broadcast against the state.
     observe(k, x) sees the state at every grid index k.
     """
-    steps = len(dW)
-    dt = co.dt
-    x = np.broadcast_to(x0, (runs,) + x0.shape).copy()
+    x = np.broadcast_to(x0, (runs,) + x0.shape).copy()  # later x inherit C order
     costs = np.zeros(x.shape[:-1])
-    prev = None
     # overflow is a reported outcome (non-finite states), not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
+        for k in range(len(dW) + 1):
             if observe is not None:
                 observe(k, x)
             m = others_mean(k, x)
-            v = _mv(gain[k], x)
-            v += shift[k]
-            np.negative(v, out=v)
-            dev = x - _mv(co.S[k], m)
-            integrand = (_quad(co.Q[k], x) + _quad(co.R[k], v)
-                         + _quad(co.Qbar[k], dev))
-            if prev is not None:
-                costs += 0.5 * dt * (prev + integrand)
-            prev = integrand
-            if k == steps:
-                break
-            drift = _mv(co.A[k], x)
-            drift += _mv(co.B[k], v)
-            drift += _mv(co.Abar[k], m)
-            drift *= dt
-            x += drift
-            x += _mv(co.sigma[k], dW[k])
-        devT = x - _mv(spec.ST, m)
-        costs += _quad(spec.QT, x) + _quad(spec.QbarT, devT)
-    costs *= 0.5
+            costs += steps.cost(k, x, m)
+            if k < len(dW):
+                x = steps.step(k, x, m)
+                x += _mv(steps.sigma[k], dW[k])
     return costs
 
 
@@ -314,20 +339,15 @@ def equilibrium_law(spec: ProblemSpec, grid: np.ndarray):
     return law, sol
 
 
-def _euler_mean_path(spec: ProblemSpec, co: _SampledCoeffs, grid: np.ndarray,
-                     law: FeedbackLaw) -> np.ndarray:
-    """Mean path of the limit system under the same Euler scheme and the
+def _euler_mean_path(spec: ProblemSpec, steps: _AffineSteps) -> np.ndarray:
+    """Mean path of the limit system under the same Euler steps and the
     same operations the players use.  With sigma = 0 and deterministic x0
     the coupled players all see their common state as the others' mean,
     so the coupled and limit systems coincide step by step, bit for bit."""
-    steps = grid.size - 1
-    dt = grid[1] - grid[0]
-    m = np.empty((steps + 1, spec.n))
+    m = np.empty((len(steps.F), spec.n))
     m[0] = spec.x0_mean
-    for k in range(steps):
-        v = -(_mv(law.gain[k], m[k]) + law.shift[k])
-        m[k + 1] = m[k] + (_mv(co.A[k], m[k]) + _mv(co.B[k], v)
-                           + _mv(co.Abar[k], m[k])) * dt
+    for k in range(len(m) - 1):
+        m[k + 1] = steps.step(k, m[k], m[k])
     return m
 
 
@@ -349,15 +369,14 @@ def simulate_nplayer(spec: ProblemSpec, law: FeedbackLaw, cfg: SimConfig,
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
     law = _law_on_grid(law, grid)
-    co = _SampledCoeffs(spec, grid)
     x0, dW = draw_initials_and_noise(spec, cfg, N, steps, replication)
     states = np.empty((steps + 1, N, spec.n))
 
     def record(k, x):
         states[k] = x[0, 0]
 
-    costs = _euler(spec, co, law.gain, law.shift, x0[None], dW[:, None],
-                   _empirical_mean((N,)), observe=record)
+    costs = _euler(_AffineSteps(spec, grid, law.gain, law.shift), x0[None],
+                   dW[:, None], _empirical_mean((N,)), observe=record)
     if not np.all(np.isfinite(states)):
         bad = int(np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))[0])
         raise FloatingPointError(
@@ -404,8 +423,8 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
     law, _ = equilibrium_law(spec, grid)
-    co = _SampledCoeffs(spec, grid)
-    xi = _euler_mean_path(spec, co, grid, law)
+    affine = _AffineSteps(spec, grid, law.gain, law.shift)
+    xi = _euler_mean_path(spec, affine)
 
     # every N of a block on one ragged player axis: group j holds the
     # block's first N_j players
@@ -424,11 +443,10 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
 
         def track(k, x):
             d = x[0] - x[1]
-            np.maximum(sup_sq, (d * d).sum(axis=-1), out=sup_sq)
+            np.maximum(sup_sq, _dot(d, d), out=sup_sq)
 
-        costs = _euler(spec, co, law.gain, law.shift, x0[:, players],
-                       _PlayerRows(dW, players), others_mean, runs=2,
-                       observe=track)
+        costs = _euler(affine, x0[:, players], _PlayerRows(dW, players),
+                       others_mean, runs=2, observe=track)
         gaps[:, block] = group_means(sup_sq)
         cost_gaps[:, block] = group_means(np.abs(costs[0] - costs[1]))
 
@@ -446,15 +464,15 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
 def _player_one_and_others_mean(spec: ProblemSpec, cfg: SimConfig, N: int,
                                 steps: int):
     """x0 (paths, 2, n) and dW (steps, paths, 2, n): row 0 holds player 1's
-    draws, row 1 the mean of the other N - 1 players' draws.  Each
-    replication is drawn and reduced on its own."""
-    x0 = np.empty((cfg.paths, 2, spec.n))
-    dW = np.empty((steps, cfg.paths, 2, spec.n))
-    for k in range(cfg.paths):
-        x0_k, dW_k = draw_initials_and_noise(spec, cfg, N, steps, k)
-        x0[k, 0], x0[k, 1] = x0_k[0], x0_k[1:].mean(axis=0)
-        dW[:, k, 0], dW[:, k, 1] = dW_k[:, 0], dW_k[:, 1:].mean(axis=1)
-    return x0, dW
+    draws, row 1 the mean of the other N - 1 players' draws.  The others'
+    normals are i.i.d. and independent of player 1's, so their mean is
+    exactly N(0, I/(N - 1)): each replication's stream draws two rows and
+    divides the second by sqrt(N - 1).  Row 0 is player 1's row of
+    draw_initials_and_noise at any N, since the stream is sequential."""
+    z = np.stack([replication_stream(cfg.seed, k).standard_normal(
+        (2, steps + 1, spec.n)) for k in range(cfg.paths)])
+    z[:, 1] /= np.sqrt(N - 1)
+    return _initials_and_noise(spec, cfg, z)
 
 
 def _pair_mean(N: int):
@@ -480,15 +498,16 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
         M' = M + dt (A M + B vbar + Abar (x^1 + (N-2) M)/(N-1)) + sigma dWbar
 
     with vbar = -(G M + g), and dWbar and M at t = 0 the means of the
-    others' own draws.  Player 1 sees exactly M, so its costs need only
-    (x^1, v^1, M).  The base run and one run per candidate step this
-    state, of dimension 2n, for all replications at once, from the
-    N-player game's draws, so theta = 1 gives exactly zero.
+    others' draws.  Player 1 sees exactly M, so its costs need only
+    (x^1, v^1, M).  The others' draws enter only through their mean, which
+    is drawn from its exact law (_player_one_and_others_mean), at a cost
+    that does not depend on N.  The base run and one run per candidate take
+    the affine steps of this 2n-dimensional state for all replications at
+    once, from the same draws, so theta = 1 gives exactly zero.
     """
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
     law, sol = equilibrium_law(spec, grid)
-    co = _SampledCoeffs(spec, grid)
     deviations = [(f"{theta:g}", law.scaled(theta))
                   for theta in deviation_thetas]
     if include_best_response:
@@ -502,8 +521,8 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
     shift = np.stack([np.stack([lw.shift, law.shift], axis=1) for lw in laws],
                      axis=1)[:, :, None]
     x0, dW = _player_one_and_others_mean(spec, cfg, N, steps)
-    costs = _euler(spec, co, gain, shift, x0, dW, _pair_mean(N),
-                   runs=len(laws))[..., 0]
+    costs = _euler(_AffineSteps(spec, grid, gain, shift), x0, dW,
+                   _pair_mean(N), runs=len(laws))[..., 0]
     mean, stderr = _mean_and_stderr(costs[1:] - costs[0])
     return ProbeReport(labels=tuple(lbl for lbl, _ in deviations),
                        cost_diff=mean, stderr=stderr)

@@ -236,6 +236,19 @@ def piecewise_2d_cfg(spec):
                      x0_cov=[[0.25, 0.05], [0.05, 0.1]])
 
 
+def full_n_reduction(spec, cfg, N, steps):
+    """The probe's draws reduced from the full N-player game's: x0
+    (paths, 2, n) and dW (steps, paths, 2, n), row 0 player 1's draws and
+    row 1 the mean of the other N - 1 players' own draws."""
+    x0 = np.empty((cfg.paths, 2, spec.n))
+    dW = np.empty((steps, cfg.paths, 2, spec.n))
+    for k in range(cfg.paths):
+        x0_k, dW_k = draw_initials_and_noise(spec, cfg, N, steps, k)
+        x0[k, 0], x0[k, 1] = x0_k[0], x0_k[1:].mean(axis=0)
+        dW[:, k, 0], dW[:, k, 1] = dW_k[:, 0], dW_k[:, 1:].mean(axis=1)
+    return x0, dW
+
+
 def reference_run(spec, law, x0, dW, lead=None, xi=None):
     """One replication, one run, stepped as plainly as possible: the
     reference the batched Euler core is checked against.  Returns the
@@ -287,7 +300,7 @@ def mean_and_stderr(samples):
             samples.std(axis=0, ddof=1) / np.sqrt(len(samples)))
 
 
-def test_batched_core_matches_per_replication_reference():
+def test_batched_core_matches_per_replication_reference(monkeypatch):
     spec = piecewise_2d_spec()
     cfg = piecewise_2d_cfg(spec)
     steps = 20
@@ -326,6 +339,9 @@ def test_batched_core_matches_per_replication_reference():
         base_costs.append(base[0])
         diffs.append([reference_run(spec, law, x0, dW, lead=dev)[1][0] - base[0]
                       for dev in deviations])
+    # the probe's stepping, fed the full N-player game's draws
+    monkeypatch.setattr(simulator, "_player_one_and_others_mean",
+                        full_n_reduction)
     probe = epsilon_nash_probe(spec, cfg, N)
     # the best response's diff cancels to ~5e-7 of costs of order 1, so
     # its rounding is relative to the costs it is the difference of
@@ -428,10 +444,14 @@ def stacked_probe(spec, cfg, N, thetas):
 
 @pytest.mark.parametrize("N", [2, 3, 9])
 @pytest.mark.parametrize("n", [1, 2])
-def test_probe_recursion_matches_full_n_player_simulation(spec_benchmark,
+def test_probe_recursion_matches_full_n_player_simulation(monkeypatch,
+                                                          spec_benchmark,
                                                           N, n):
-    # the others' mean recursion against every player stepped; at N = 2
-    # the others' mean is the one other player
+    # the others' mean recursion against every player stepped, both fed
+    # the full N-player game's draws; at N = 2 the others' mean is the
+    # one other player
+    monkeypatch.setattr(simulator, "_player_one_and_others_mean",
+                        full_n_reduction)
     if n == 1:
         spec = spec_benchmark
         cfg = make_cfg(spec, N_values=(N,), paths=6, x0_cov=[[0.25]])
@@ -453,3 +473,93 @@ def test_probe_recursion_matches_full_n_player_simulation(spec_benchmark,
                                atol=1e-12 * scale)
     np.testing.assert_allclose(probe.stderr[-1], stderr[-1], rtol=0.0,
                                atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("N", [2, 3, 9, 1250])
+def test_probe_draws_player_one_and_the_exact_law_of_the_others_mean(N):
+    # row 0 is player 1's row of the N-player draws, bit for bit; row 1 is
+    # the stream's second row of normals over sqrt(N - 1)
+    spec = piecewise_2d_spec()
+    cfg = piecewise_2d_cfg(spec)
+    steps = 20
+    x0, dW = simulator._player_one_and_others_mean(spec, cfg, N, steps)
+    assert x0.shape == (cfg.paths, 2, 2)
+    assert dW.shape == (steps, cfg.paths, 2, 2)
+    for k in range(cfg.paths):
+        x0_N, dW_N = draw_initials_and_noise(spec, cfg, N, steps, k)
+        assert np.array_equal(x0[k, 0], x0_N[0])
+        assert np.array_equal(dW[:, k, 0], dW_N[:, 0])
+        z = replication_stream(cfg.seed, k).standard_normal(
+            (2, (steps + 1) * 2))[1].reshape(steps + 1, 2) / np.sqrt(N - 1)
+        root = cfg.x0_root
+        assert np.array_equal(
+            x0[k, 1], cfg.x0_mean + (root[:, 0] * z[0, 0]
+                                     + root[:, 1] * z[0, 1]))
+        assert np.array_equal(dW[:, k, 1], z[1:] * np.sqrt(spec.T / steps))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_law_probe_agrees_with_the_full_n_player_draws(
+        monkeypatch, spec_benchmark, n, seed):
+    # the others' mean drawn from its exact law and reduced from the N
+    # players' own draws are the same in law, so every candidate's mean
+    # difference agrees within Monte Carlo error
+    N = 5
+    if n == 1:
+        spec = spec_benchmark
+        cfg = make_cfg(spec, N_values=(N,), paths=300, seed=seed,
+                       x0_cov=[[0.25]])
+    else:
+        spec = piecewise_2d_spec()
+        cfg = dataclasses.replace(piecewise_2d_cfg(spec), paths=300,
+                                  seed=seed)
+    exact = epsilon_nash_probe(spec, cfg, N)
+    monkeypatch.setattr(simulator, "_player_one_and_others_mean",
+                        full_n_reduction)
+    full = epsilon_nash_probe(spec, cfg, N)
+    assert exact.labels == full.labels
+    combined = np.hypot(exact.stderr, full.stderr)
+    assert np.all(combined > 0.0)
+    assert np.all(np.abs(exact.cost_diff - full.cost_diff) <= 4.0 * combined)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_affine_steps_match_the_euler_step_and_the_running_cost(stack):
+    # n = 2, m = 1, S nonsymmetric, B and R not the identity, laws stacked
+    # on `stack`: the fused map and quadratic form against the plain
+    # Euler step and the Q/R/Qbar cost at random (x, m)
+    spec = dataclasses.replace(piecewise_2d_spec(),
+                               R=Schedule.constant([[1.7]]))
+    rng = np.random.default_rng(5)
+    steps = 20
+    grid = uniform_grid(spec.T, steps)
+    dt = grid[1] - grid[0]
+    gain = rng.normal(size=(grid.size,) + stack + (1, 2))
+    shift = rng.normal(size=(grid.size,) + stack + (1,))
+    affine = simulator._AffineSteps(spec, grid, gain, shift)
+    co = {name: sample(getattr(spec, name), grid)
+          for name in ("A", "Abar", "B", "Q", "Qbar", "R", "S")}
+    mv = lambda M, y: np.einsum("...ij,...j->...i", M, y)
+    quad = lambda M, y: np.einsum("...i,...ij,...j->...", y, M, y)
+    for k in range(grid.size):
+        x = rng.normal(size=(4,) + stack + (2,))
+        m = rng.normal(size=(4,) + stack + (2,))
+        v = -(mv(gain[k], x) + shift[k])
+        running = (quad(co["Q"][k], x) + quad(co["R"][k], v)
+                   + quad(co["Qbar"][k], x - mv(co["S"][k], m)))
+        weight = 0.5 * dt * (0.5 if k in (0, steps) else 1.0)
+        want = weight * running
+        if k == steps:
+            want = want + 0.5 * (quad(spec.QT, x)
+                                 + quad(spec.QbarT, x - mv(spec.ST, m)))
+        got = affine.cost(k, x, m)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        if k == steps:
+            break
+        step = x + dt * (mv(co["A"][k], x) + mv(co["B"][k], v)
+                         + mv(co["Abar"][k], m))
+        np.testing.assert_allclose(affine.step(k, x, m), step, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(step)))
