@@ -261,9 +261,11 @@ def riccati_solvable_verdict(norms: ConditionReport, T: float,
     |||Abar||| = 0 and |||Seff||| < 1, or |||Abar||| != 0 and
     T < ((1 - |||Seff|||) / (|||phi||| |||Abar||| (1 + |||Seff|||)))^2 ^ T0.
 
-    T0 = None drops the cap, which is vacuous for constant coefficients
-    (the norms are then those on [0, T]).  Undefined norms give the
-    report's "undefined" verdict.
+    The norms are taken on [0, T0], so the cap T0 holds with equality:
+    the test is T < bound and T <= T0, and only T near the bound is
+    borderline.  T0 = None drops the cap, which is vacuous for constant
+    coefficients (the norms are then those on [0, T]).  Undefined norms
+    give the report's "undefined" verdict.
     """
     phi, abar, s = norms.phi_norm, norms.abar_norm, norms.s_norm
     if abar is None:
@@ -277,12 +279,12 @@ def riccati_solvable_verdict(norms: ConditionReport, T: float,
     if s >= 1.0:
         return Verdict("not-concluded", reason=f"|||Seff||| = {s:.6g} >= 1")
     bound = ((1.0 - s) / (phi * abar * (1.0 + s))) ** 2
-    limit = bound if T0 is None else min(bound, T0)
+    within = T < bound and (T0 is None or T <= T0)
     requirement = (f"requires T < {bound:.6g}" if T0 is None
-                   else f"requires T < min({bound:.6g}, T0={T0:g})")
-    return Verdict("satisfied" if T < limit else "not-concluded",
+                   else f"requires T < {bound:.6g} and T <= T0={T0:g}")
+    return Verdict("satisfied" if within else "not-concluded",
                    reason=requirement,
-                   borderline=abs(T - limit) < BORDERLINE_TOL)
+                   borderline=abs(T - bound) < BORDERLINE_TOL)
 
 
 def check_riccati_solvable(spec: ProblemSpec, T0: float | None = None,

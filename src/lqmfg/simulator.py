@@ -31,9 +31,13 @@ group sees only its own players' mean, so its estimates do not depend on
 the other player counts.  Replications are processed in blocks whose
 draws, made once at the largest N, fit in _BLOCK_BYTES, so memory does
 not grow with the replication count and results do not depend on the
-block size.  The epsilon-Nash probe steps no N-player state: it steps
-the exact 2n-dimensional recursion of player 1 and the others' mean,
-drawing that mean from its exact law (see epsilon_nash_probe).
+block size.  Each replication's stream fills its rows of the block in
+place, in the stream's own player-major order, and the Euler loop reads
+the unscaled normals of one step at a time with sqrt(dt) folded into
+the noise coefficient: the block is the draws' only copy, and the
+budget counts it.  The epsilon-Nash probe steps no N-player state: it
+steps the exact 2n-dimensional recursion of player 1 and the others'
+mean, drawing that mean from its exact law (see epsilon_nash_probe).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .riccati import solve_symmetric
 
 DEFAULT_THETAS = (0.0, 0.5, 0.9, 1.1, 1.5, 2.0)
 
-_BLOCK_BYTES = 2 * 2**20  # standard normals held per block of replications
+_BLOCK_BYTES = 4 * 2**20  # standard normals held per block of replications
 
 
 @dataclass(frozen=True)
@@ -155,40 +159,46 @@ def draw_initials_and_noise(spec: ProblemSpec, cfg: SimConfig, N: int,
 def _initials_and_noise(spec: ProblemSpec, cfg: SimConfig, z: np.ndarray):
     """x0 (..., n) and Wiener increments (steps, ..., n) from standard
     normals z (..., steps+1, n)."""
-    x0 = cfg.x0_mean + _mv(cfg.x0_root, z[..., 0, :])
     dW = np.moveaxis(z[..., 1:, :], -2, 0)
     dW *= np.sqrt(spec.T / (z.shape[-2] - 1))
-    return x0, dW
+    return _initials(cfg, z), dW
+
+
+def _initials(cfg: SimConfig, z: np.ndarray) -> np.ndarray:
+    """x0 (..., n) from the initial-state normals of z (..., steps+1, n)."""
+    return cfg.x0_mean + _mv(cfg.x0_root, z[..., 0, :])
 
 
 def _replication_blocks(spec: ProblemSpec, cfg: SimConfig, N: int,
                         steps: int):
-    """Yield (replication slice, x0 (R, N, n), dW (steps, R, N, n)) for
-    consecutive blocks of R replications whose draws fit in _BLOCK_BYTES
-    (at least one each)."""
+    """Yield (replication slice, z (R, N, steps+1, n)) for consecutive
+    blocks of R replications whose draws fit in _BLOCK_BYTES (at least one
+    each).  Row z[j] is replication k's stream drawn in place in its own
+    player-major order, the standard normals of draw_initials_and_noise
+    before any scaling; the block is reused, so it is the only copy."""
     per_replication = N * (steps + 1) * spec.n * 8
     size = min(cfg.paths, max(1, _BLOCK_BYTES // per_replication))
+    z = np.empty((size, N, steps + 1, spec.n))
     for start in range(0, cfg.paths, size):
         reps = range(start, min(start + size, cfg.paths))
-        x0 = np.empty((len(reps), N, spec.n))
-        dW = np.empty((steps, len(reps), N, spec.n))
         for j, k in enumerate(reps):
-            x0[j], dW[:, j] = draw_initials_and_noise(spec, cfg, N, steps, k)
-        yield slice(reps.start, reps.stop), x0, dW
+            replication_stream(cfg.seed, k).standard_normal(out=z[j])
+        yield slice(reps.start, reps.stop), z[:len(reps)]
 
 
 class _PlayerRows:
-    """Increments dW (steps, R, N, n) read at the given player rows: dW[k]
-    is gathered for one step at a time, so the block is never copied."""
+    """Standard normals z (R, N, steps+1, n) read as the increments of the
+    given player rows: step k gathers z[:, players, k+1] alone, so the
+    block is never copied whole."""
 
-    def __init__(self, dW: np.ndarray, players: np.ndarray):
-        self.dW, self.players = dW, players
+    def __init__(self, z: np.ndarray, players: np.ndarray):
+        self.z, self.players = z, players
 
     def __len__(self):
-        return len(self.dW)
+        return self.z.shape[2] - 1
 
     def __getitem__(self, k):
-        return np.take(self.dW[k], self.players, axis=1)
+        return np.take(self.z[:, :, k + 1], self.players, axis=1)
 
 
 class _AffineSteps:
@@ -203,14 +213,17 @@ class _AffineSteps:
     With Q, R and Qbar symmetric, x* Q x + v* R v + (x - S m)* Qbar (x - S m)
     gives Pxx = Q + G* R G + Qbar, Pxm = -2 Qbar S, Pmm = S* Qbar S,
     px = 2 G* R g and p0 = g* R g, each times half the trapezoid weight of
-    index k; the last index also carries half the terminal cost."""
+    index k; the last index also carries half the terminal cost.  sigma_k
+    is stored times noise_scale, so that with noise_scale = sqrt(dt) the
+    steps consume standard normals in place of dW_k."""
 
     def __init__(self, spec: ProblemSpec, grid: np.ndarray, gain: np.ndarray,
-                 shift: np.ndarray):
+                 shift: np.ndarray, noise_scale: float = 1.0):
         axes = tuple(range(1, gain.ndim - 2))
-        A, Abar, B, self.sigma, Q, Qbar, R, S = (
+        A, Abar, B, sigma, Q, Qbar, R, S = (
             np.expand_dims(sample(getattr(spec, name), grid), axes)
             for name in ("A", "Abar", "B", "sigma", "Q", "Qbar", "R", "S"))
+        self.sigma = sigma * noise_scale
         dt = grid[1] - grid[0]
         half = np.full(A.shape[:-2], 0.5 * dt)
         half[[0, -1]] *= 0.5
@@ -423,7 +436,9 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
     steps = _steps_for(spec, cfg.dt)
     grid = uniform_grid(spec.T, steps)
     law, _ = equilibrium_law(spec, grid)
-    affine = _AffineSteps(spec, grid, law.gain, law.shift)
+    # the blocks hold standard normals: sqrt(dt) goes into sigma_k
+    affine = _AffineSteps(spec, grid, law.gain, law.shift,
+                          noise_scale=np.sqrt(spec.T / steps))
     xi = _euler_mean_path(spec, affine)
 
     # every N of a block on one ragged player axis: group j holds the
@@ -438,15 +453,16 @@ def mckean_gap(spec: ProblemSpec, cfg: SimConfig) -> RateReport:
 
     gaps = np.empty((sizes.size, cfg.paths))
     cost_gaps = np.empty_like(gaps)
-    for block, x0, dW in _replication_blocks(spec, cfg, sizes.max(), steps):
-        sup_sq = np.zeros(x0.shape[:1] + players.shape)
+    for block, z in _replication_blocks(spec, cfg, sizes.max(), steps):
+        sup_sq = np.zeros(z.shape[:1] + players.shape)
 
         def track(k, x):
             d = x[0] - x[1]
             np.maximum(sup_sq, _dot(d, d), out=sup_sq)
 
-        costs = _euler(affine, x0[:, players], _PlayerRows(dW, players),
-                       others_mean, runs=2, observe=track)
+        costs = _euler(affine, _initials(cfg, z)[:, players],
+                       _PlayerRows(z, players), others_mean, runs=2,
+                       observe=track)
         gaps[:, block] = group_means(sup_sq)
         cost_gaps[:, block] = group_means(np.abs(costs[0] - costs[1]))
 

@@ -258,6 +258,21 @@ def test_check_report_on_bundled_configs(tmp_path, capsys, config):
     assert capsys.readouterr().out == CHECK_REPORTS[config]
 
 
+def test_check_piecewise_form_of_a_constant_config(tmp_path, capsys):
+    # A written as two equal pieces: the norms are those of the constant
+    # form on [0, T], and T = T0 meets the cap, so riccati_solvable is
+    # satisfied with no borderline flag, as in the constant report
+    config = tmp_path / "piecewise.cfg"
+    config.write_text(open(BENCH).read().replace(
+        "[A]\nconst = 0.2", "[A]\nat 0 = 0.2\nat 0.5 = 0.2"))
+    code = main(["check", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 0
+    want = CHECK_REPORTS["benchmark_scalar"].replace(
+        "satisfied [requires T < 2.02483]",
+        "satisfied [requires T < 2.02483 and T <= T0=1]")
+    assert capsys.readouterr().out == want
+
+
 # mainthm and riccati_solvable share the Q-weighted norm; the shifted
 # check uses the weight Q + Seff, which is Q itself when Seff = 0, so it
 # norms phi a second time only when Seff != 0 (benchmark_scalar)

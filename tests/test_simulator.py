@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,43 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, budget):
         for field in dataclasses.fields(want):
             np.testing.assert_array_equal(getattr(got, field.name),
                                           getattr(want, field.name))
+
+
+def test_blocks_hold_each_replications_unscaled_draws(monkeypatch):
+    # blocks of 2, 2 and 1: row j of a block is replication k's stream in
+    # its own order, and it gives draw_initials_and_noise's x0 and, once
+    # scaled by sqrt(dt), its increments, bit for bit
+    spec = piecewise_2d_spec()
+    cfg = piecewise_2d_cfg(spec)
+    N, steps = 9, 20
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", 2 * N * (steps + 1) * 2 * 8)
+    seen = []
+    for block, z in simulator._replication_blocks(spec, cfg, N, steps):
+        assert z.shape == (block.stop - block.start, N, steps + 1, spec.n)
+        for j, k in enumerate(range(block.start, block.stop)):
+            x0, dW = draw_initials_and_noise(spec, cfg, N, steps, k)
+            np.testing.assert_array_equal(simulator._initials(cfg, z[j]), x0)
+            np.testing.assert_array_equal(
+                np.moveaxis(z[j, :, 1:], 1, 0) * np.sqrt(spec.T / steps), dW)
+            seen.append(k)
+    assert seen == list(range(cfg.paths))
+
+
+def test_gap_estimate_memory_stays_within_the_block_budget(spec_benchmark):
+    # the mc_rates inputs: the block is the draws' only copy, so one call
+    # peaks near _BLOCK_BYTES, not at a multiple of it.  A first call
+    # makes the one-time imports (numpy.random's, ~1 MB), which are not
+    # the call's to count.
+    cfg = make_cfg(spec_benchmark, N_values=(10, 50, 250, 1250), paths=8,
+                   dt=0.01, x0_cov=[[0.25]])
+    mckean_gap(spec_benchmark, cfg)
+    tracemalloc.start()
+    try:
+        mckean_gap(spec_benchmark, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * simulator._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("case", ["piecewise_2d", "benchmark_scalar"])
