@@ -1,27 +1,25 @@
 """Deterministic ODE integration and matrix utilities.
 
-Two forms of the same classical fixed-step RK4 scheme:
-
-* `rk4_integrate` steps any right-hand side field(t, y) by four Python
-  field calls per step; only the direct nonsymmetric Gamma route uses it,
-  as a deliberately independent cross-check.
-* `_step_maps` builds the exact per-step maps y_{k+1} = E_k y_k + f_k of
-  a linear system y' = M(t) y + s(t) with a piecewise-constant `Schedule`
-  M in batched numpy.  Every linear object of the package comes from
-  them: shooting, fundamental solutions and the scans, the Radon backward
-  pass, |||phi|||, and through `_sweep` the symmetric Riccati pair and
-  both appendix routes.  No Python loop runs over the steps:
-  `_compose_prefix` composes the maps by recursive doubling, which
-  `_rk4_linear` applies to the start value and `_sweep` applies within
-  blocks of about sqrt(K) steps.  `fbsolver`'s two-point solver keeps
-  the levels of `_doublings`: a new source costs its `_step_offsets`.
+The classical fixed-step RK4 scheme as exact per-step maps:
+`_step_maps` builds y_{k+1} = E_k y_k + f_k for a linear system
+y' = M(t) y + s(t) with a piecewise-constant `Schedule` M in batched
+numpy.  Every linear object of the package comes from them: shooting,
+fundamental solutions and the scans, the Radon backward pass, |||phi|||,
+and through `_sweep` the symmetric Riccati pair and both appendix
+routes.  No Python loop runs over the steps: `_compose_prefix` composes
+the maps by recursive doubling, which `_rk4_linear` applies to the start
+value and `_sweep` applies within blocks of about sqrt(K) steps.
+`fbsolver`'s two-point solver keeps the levels of `_doublings`: a new
+source costs its `_step_offsets`.  Only the direct nonsymmetric Gamma
+route, a deliberately independent cross-check, steps its own nonlinear
+RK4 loop (in `riccati`).
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
 principal PSD square roots, and spectral norms (from the Gram matrix,
 without an SVD).
 Backward problems are integrated by the substitution tau = T - t, so
-each form only ever steps forward.
+the maps only ever step forward.
 """
 
 from __future__ import annotations
@@ -54,63 +52,13 @@ class IntegrationOverflow(RuntimeError):
             f"{direction} integration blew up at grid index {index}")
 
 
-def rk4_integrate(field, y0, grid, max_abs: float | None = None) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta on a uniform grid.
-
-    field(t, y) evaluates the right-hand side at t, t+h/2 and t+h (restart
-    at coefficient breakpoints to keep fourth order).  Returns the path with
-    shape (len(grid), *y0.shape).
-    Raises IntegrationOverflow on non-finite values (or |y| > max_abs if set).
-    """
-    grid = np.asarray(grid, dtype=float)
-    check_uniform_grid(grid)
-    y = np.asarray(y0, dtype=float)
-    out = np.full((grid.size,) + y.shape, np.nan)
-    out[0] = y
-    limit = np.inf if max_abs is None else max_abs
-    for k in range(grid.size - 1):
-        t = grid[k]
-        h = grid[k + 1] - grid[k]
-        k1 = field(t, y)
-        k2 = field(t + h / 2.0, y + (h / 2.0) * k1)
-        k3 = field(t + h / 2.0, y + (h / 2.0) * k2)
-        k4 = field(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > limit:
-            out[k + 1] = y
-            raise IntegrationOverflow(k + 1, out)
-        out[k + 1] = y
-    return out
-
-
-def rk4_integrate_backward(field, yT, grid, max_abs: float | None = None) -> np.ndarray:
-    """Integrate dy/dt = field(t, y) backward from y(T) = yT.
-
-    Substitutes tau = T - t and runs forward RK4; the returned path is
-    aligned with the original grid (path[k] = y(grid[k])).
-    """
-    grid = np.asarray(grid, dtype=float)
-    T = grid[-1]
-
-    def reversed_field(tau, y):
-        return -field(T - tau, y)
-
-    try:
-        rev = rk4_integrate(reversed_field, yT, T - grid[::-1], max_abs=max_abs)
-    except IntegrationOverflow as exc:
-        path = exc.path[::-1].copy()
-        raise IntegrationOverflow(grid.size - 1 - exc.index, path,
-                                  direction="backward") from None
-    return rev[::-1].copy()
-
-
 def _step_maps(M: Schedule, grid, source=None,
                backward: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-step maps of the RK4 scheme for y' = M(t) y + s(t) on a uniform grid.
 
     Step k reads the one piece M_k of M in force at its midpoint and is
-    `rk4_integrate` on field(t, y) = M_k y + s(t), rearranged (equal up to
-    rounding) as y_{k+1} = E_k y_k + f_k with
+    a classical RK4 step of field(t, y) = M_k y + s(t), rearranged (equal
+    up to rounding) as y_{k+1} = E_k y_k + f_k with
 
         E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M_k,
         K2 = M_k (I + h/2 K1),  K3 = M_k (I + h/2 K2),  K4 = M_k (I + h K3),
@@ -119,9 +67,9 @@ def _step_maps(M: Schedule, grid, source=None,
     (t_k, t_k + h/2, t_{k+1}), shape (K, 3, d[, c]).  A step with a
     breakpoint strictly inside has E_k the product of its sub-step maps
     (f_k keeps the midpoint piece: a sourced solve is first order there).
-    With backward=True the maps step tau = T - t as
-    `rk4_integrate_backward` does: E_j, f_j take y(t_{K-j}) to
-    y(t_{K-j-1}).  Returns E (K, d, d) and f (K, d, c), or None.
+    With backward=True the maps step the negated field forward in
+    tau = T - t: E_j, f_j take y(t_{K-j}) to y(t_{K-j-1}).  Returns E
+    (K, d, d) and f (K, d, c), or None.
     """
     grid = np.asarray(grid, dtype=float)
     T = grid[-1]

@@ -7,7 +7,9 @@ Three routes to the matrix paths:
   `odecore._sweep` of the RK4 step maps of its linear Hamiltonian system,
 * the nonsymmetric equation for Gamma in the ansatz eta = Gamma xi,
   solved either through blocks of the fundamental solution (Radon's
-  lemma) or by direct backward integration with blow-up detection,
+  lemma) or by its own backward RK4 loop on the equation itself, with
+  blow-up detection: two matmuls per field evaluation, and Python floats
+  when n = 1,
 * explicit closed forms in the scalar constant-coefficient case.
 
 Gamma carries A+Abar on one side and A* on the other, so it need not be
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import ProblemSpec, Schedule, csv_text, sample, system_blocks
+from .coeffs import (ProblemSpec, Schedule, check_uniform_grid, csv_text,
+                     sample, system_blocks)
 from .fbsolver import COND_LIMIT, equilibrium_system
-from .odecore import (IntegrationOverflow, _rk4_linear, _sweep,
-                      rk4_integrate_backward, stage_source, step_pieces)
+from .odecore import _rk4_linear, _sweep, stage_source, step_pieces
 
 BLOW_UP_LIMIT = 1e12
 
@@ -94,9 +96,11 @@ def solve_nonsymmetric_direct(spec: ProblemSpec,
         dGamma/dt = -Gamma (A+Abar) - A* Gamma + Gamma B R^-1 B* Gamma
                     - (Q + Seff),   Gamma_T = QT + SeffT.
 
-    The integration restarts at each run of `odecore.step_pieces`, with
-    the constant blocks of its piece.  A blow-up (entries beyond 1e12) is
-    returned as a flagged path, since the equation is not always solvable.
+    Classical RK4 on the equation itself in tau = T - t, restarted at
+    each run of `odecore.step_pieces` with the constant blocks of its
+    piece, and independent of the linear step maps.  A blow-up (an entry
+    beyond 1e12, or not finite) is returned as a flagged path, since the
+    equation is not always solvable.
     """
     blocks = system_blocks(spec)
     mids, cuts = step_pieces(equilibrium_system(spec)[0], grid)
@@ -105,17 +109,49 @@ def solve_nonsymmetric_direct(spec: ProblemSpec,
     for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
         A, Abar, BRB, QS = (S.at(mids[lo]) for S in (spec.A, spec.Abar,
                                                      blocks.BRB, blocks.QS))
-
-        def field(t, G, A=A, AA=A + Abar, BRB=BRB, QS=QS):
-            return -G @ AA - A.T @ G + G @ BRB @ G - QS
-
-        try:
-            gamma[lo:hi + 1] = rk4_integrate_backward(
-                field, gamma[hi], grid[lo:hi + 1], max_abs=BLOW_UP_LIMIT)
-        except IntegrationOverflow as exc:
-            gamma[lo:hi + 1] = exc.path
-            return RiccatiPath(grid=grid, gamma=gamma, blow_up=lo + exc.index)
+        taus = grid[hi] - grid[lo:hi + 1][::-1]
+        check_uniform_grid(taus)
+        Hl, Hr = np.vstack([A + Abar, -QS]), np.vstack([-BRB, -A.T])
+        run = _rk4_tau(gamma[hi], Hl, Hr, np.diff(taus).tolist())
+        first = hi + 1 - len(run)
+        gamma[first:hi + 1] = np.reshape(run[::-1], (-1,) + blocks.GT.shape)
+        if not np.abs(gamma[first]).max() <= BLOW_UP_LIMIT:
+            return RiccatiPath(grid=grid, gamma=gamma, blow_up=first)
     return RiccatiPath(grid=grid, gamma=gamma)
+
+
+def _rk4_tau(Y, Hl, Hr, hs) -> list:
+    """RK4 steps hs of the tau-field Y' = Y (A+Abar) + A* Y - Y BRB Y + QS
+    from Y, written as Y U[:n] - U[n:] with U = Hl + Hr Y, Hl = (A+Abar;
+    -QS) and Hr = (-BRB; -A*); on Python floats when n = 1.  Returns the
+    samples from Y on, stopping at the first one beyond BLOW_UP_LIMIT or
+    not finite."""
+    n = len(Y)
+    if n == 1:
+        (l1,), (l2,) = Hl.tolist()
+        (r1,), (r2,) = Hr.tolist()
+        Y, size = float(Y[0, 0]), abs
+
+        def field(y):
+            return y * (l1 + r1 * y) - (l2 + r2 * y)
+    else:
+        def size(Y):
+            return abs(Y).max()
+
+        def field(Y):
+            U = Hl + Hr @ Y
+            return Y @ U[:n] - U[n:]
+    out = [Y]
+    for h in hs:
+        k1 = field(Y)
+        k2 = field(Y + (h / 2.0) * k1)
+        k3 = field(Y + (h / 2.0) * k2)
+        k4 = field(Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(Y)
+        if not size(Y) <= BLOW_UP_LIMIT:
+            break
+    return out
 
 
 def solve_nonsymmetric_radon(spec: ProblemSpec,

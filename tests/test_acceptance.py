@@ -10,7 +10,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from conftest import (random_classical_spec,
-                      random_contractive_scalar_spec)
+                      random_contractive_scalar_spec, rk4_integrate,
+                      rk4_integrate_backward)
 from lqmfg.cli import bundled_config, main
 from lqmfg.coeffs import build_grid, load_config, uniform_grid
 from lqmfg.conditions import (AppendixParams, appendix_adjoint_route,
@@ -19,7 +20,7 @@ from lqmfg.fbsolver import (equilibrium_system, existence_scan,
                             fixed_point_iterate, refine_singular_horizon,
                             solve_equilibrium_shooting)
 from lqmfg.mftype import compare_mfg_mftype
-from lqmfg.odecore import fundamental_solution, rk4_integrate
+from lqmfg.odecore import fundamental_solution
 from lqmfg.riccati import (solve_1d_closed_form, solve_nonsymmetric_direct,
                            solve_nonsymmetric_radon, solve_symmetric)
 from lqmfg.simulator import SimConfig, epsilon_nash_probe, mckean_gap
@@ -117,8 +118,6 @@ def test_criterion_05_cross_method_consistency():
 
 
 def test_criterion_06_closed_form_riccati_sweep():
-    from lqmfg.odecore import rk4_integrate_backward
-
     rng = np.random.default_rng(606)
     worst = 0.0
     branch_counts = [0, 0, 0]

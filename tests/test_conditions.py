@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from conftest import random_contractive_scalar_spec, scalar_spec, stage_reader
+from conftest import (random_contractive_scalar_spec, rk4_integrate,
+                      rk4_integrate_backward, scalar_spec, stage_reader)
 from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, sample,
                           uniform_grid)
 from lqmfg.conditions import (AppendixParams, _strict_less_one, _tail_trapezoid,
@@ -389,8 +390,7 @@ def _appendix_oracle(p, grid):
     offset equations: Pi, P and rho backward, then zbar forward reading
     P and rho at each step's stages.  An independent route to what
     `odecore._sweep` gives both appendix routes."""
-    from lqmfg.odecore import (rk4_integrate, rk4_integrate_backward,
-                               stage_source, step_pieces)
+    from lqmfg.odecore import stage_source, step_pieces
 
     k2 = p.b ** 2 / p.r
 

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import scalar_spec
+from conftest import rk4_integrate, scalar_spec
 from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, sample,
                           uniform_grid)
 from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix, _TwoPoint,
@@ -13,7 +13,7 @@ from lqmfg.fbsolver import (NoConvergence, SingularShootingMatrix, _TwoPoint,
                             fixed_point_iterate, q_weighted_norm,
                             refine_singular_horizon,
                             solve_equilibrium_shooting)
-from lqmfg.odecore import _rk4_linear, rk4_integrate
+from lqmfg.odecore import _rk4_linear
 from lqmfg.riccati import solve_symmetric
 
 T0_BRACKET = (0.83, 0.86)

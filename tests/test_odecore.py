@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
-from conftest import rk4_by_piece, stage_reader
+from conftest import (rk4_by_piece, rk4_integrate, rk4_integrate_backward,
+                      stage_reader)
 from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
 from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
                            _compose_prefix, _midpoints, _rk4_linear,
                            _step_maps, _sweep,
                            fundamental_solution, inv_sqrt, psd_sqrt,
-                           rk4_integrate, rk4_integrate_backward,
                            spectral_norm, spectral_norms)
 from lqmfg.riccati import solve_nonsymmetric_radon
 

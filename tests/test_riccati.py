@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_classical_spec, rk4_by_piece, scalar_spec,
-                      stage_reader)
-from lqmfg.coeffs import ProblemSpec, Schedule, build_grid, uniform_grid
-from lqmfg.fbsolver import (fixed_point_iterate, refine_singular_horizon,
+from conftest import (classical_spec, contraction_spec,
+                      random_classical_spec, rk4_by_piece,
+                      rk4_integrate_backward, scalar_spec, stage_reader)
+from lqmfg.cli import bundled_config
+from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, load_config,
+                          system_blocks, uniform_grid)
+from lqmfg.fbsolver import (equilibrium_system, fixed_point_iterate,
+                            refine_singular_horizon,
                             solve_equilibrium_shooting)
-from lqmfg.riccati import (BoundaryOperatorSingular, DistinctRootsViolated,
-                           riccati_csv, solve_1d_closed_form,
+from lqmfg.odecore import IntegrationOverflow
+from lqmfg.riccati import (BLOW_UP_LIMIT, BoundaryOperatorSingular,
+                           DistinctRootsViolated, riccati_csv,
+                           solve_1d_closed_form,
                            solve_nonsymmetric_direct, solve_nonsymmetric_radon,
                            solve_symmetric)
 
@@ -104,6 +110,58 @@ def test_direct_blow_up_flagged():
     assert ok.blow_up is None
 
 
+def _direct_oracle(spec, grid):
+    """(Gamma, blow-up index) by field-call RK4 on the textbook field
+    -G (A+Abar) - A* G + G BRB G - (Q + Seff), restarted at every
+    breakpoint: the reference for the direct route's own loop."""
+    blocks = system_blocks(spec)
+
+    def field_at(c):
+        A, AA = spec.A.at(c), spec.A.at(c) + spec.Abar.at(c)
+        BRB, QS = blocks.BRB.at(c), blocks.QS.at(c)
+        return lambda t, G: -G @ AA - A.T @ G + G @ BRB @ G - QS
+
+    try:
+        return rk4_by_piece(field_at, blocks.GT, grid,
+                            equilibrium_system(spec)[0].breakpoints,
+                            backward=True, max_abs=BLOW_UP_LIMIT), None
+    except IntegrationOverflow as exc:
+        return exc.path, exc.index
+
+
+def _direct_cases():
+    """The bundled configs at 2000 steps, classical specs for n = 1..4, 2-d
+    piecewise specs with 1-3 breakpoints, and an n = 3 spec with Abar != 0
+    and a nonsymmetric S, so that A + Abar != A*."""
+    rng = np.random.default_rng(28)
+    for name in ("benchmark_scalar", "classical_lq", "counterexample_2d_1",
+                 "counterexample_2d_2"):
+        yield name, load_config(bundled_config(name)), 2000
+    for n in (1, 2, 3, 4):
+        yield f"classical_n{n}", classical_spec(rng, n), 800
+    for breaks in (1, 2, 3):
+        yield f"piecewise_b{breaks}", contraction_spec(rng, 1.0, breaks), 800
+    yield "coupled_n3", _random_coupled_spec(rng, 3), 800
+
+
+def test_direct_route_matches_the_field_call_oracle():
+    blown = set()
+    for name, spec, steps in _direct_cases():
+        grid = build_grid(spec, steps)
+        ref, blow_up = _direct_oracle(spec, grid)
+        direct = solve_nonsymmetric_direct(spec, grid)
+        assert direct.blow_up == blow_up, name
+        if blow_up is not None:
+            blown.add(name)
+        finite = np.isfinite(ref).all(axis=(1, 2))
+        assert np.array_equal(np.isnan(direct.gamma), np.isnan(ref)), name
+        size = np.linalg.norm(ref[finite], axis=(1, 2))
+        gap = np.linalg.norm(direct.gamma[finite] - ref[finite], axis=(1, 2))
+        assert np.all(gap <= 1e-7 * size), name
+        assert np.all(gap[size <= 1e3] <= 1e-10 * size[size <= 1e3]), name
+    assert blown == {"counterexample_2d_2"}
+
+
 def test_closed_form_affine_branch():
     # B = 0 and 2A + Abar = 0: Gamma_t = (Q+Seff)(T-t) + terminal
     grid = uniform_grid(2.0, 50)
@@ -177,8 +235,6 @@ def _random_branch_case(rng):
 
 
 def test_closed_forms_match_backward_rk4_sweep():
-    from lqmfg.odecore import rk4_integrate_backward
-
     rng = np.random.default_rng(99)
     for _ in range(30):
         case = _random_branch_case(rng)

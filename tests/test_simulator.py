@@ -564,11 +564,14 @@ def test_exact_law_probe_agrees_with_the_full_n_player_draws(
 
 @pytest.mark.parametrize("stack", [(), (3,)])
 def test_affine_steps_match_the_euler_step_and_the_running_cost(stack):
-    # n = 2, m = 1, S nonsymmetric, B and R not the identity, laws stacked
-    # on `stack`: the fused map and quadratic form against the plain
-    # Euler step and the Q/R/Qbar cost at random (x, m)
+    # n = 2, m = 1, S and ST nonsymmetric, QbarT != 0 and not diagonal, B
+    # and R not the identity, laws stacked on `stack`: the fused map and
+    # quadratic form against the plain Euler step and the Q/R/Qbar cost at
+    # random (x, m)
     spec = dataclasses.replace(piecewise_2d_spec(),
-                               R=Schedule.constant([[1.7]]))
+                               R=Schedule.constant([[1.7]]),
+                               QbarT=np.array([[0.2, 0.05], [0.05, 0.1]]),
+                               ST=np.array([[0.9, 0.3], [-0.2, 0.7]]))
     rng = np.random.default_rng(5)
     steps = 20
     grid = uniform_grid(spec.T, steps)

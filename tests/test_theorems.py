@@ -1,86 +1,33 @@
 """Predictions of the paper's theorems, checked across the solvers on
 generated specs rather than on examples.
 
-The specs come from test-local copies of the benchmark generator's recipes
+The specs come from conftest's copies of the benchmark generator's recipes
 (weak mean-field coupling, scalar or 2-d piecewise, and the classical-LQ
 reduction), with the horizon a parameter.  Each property is a plain
 function of a seed, so a larger draw budget can run it outside the suite;
 the hypothesis budgets here keep the suite fast.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lqmfg.coeffs import ProblemSpec, Schedule, build_grid
-from lqmfg.conditions import check_riccati_solvable, compute_mainthm_norms
+from conftest import classical_spec, contraction_spec, psd
+from lqmfg.coeffs import build_grid
+from lqmfg.conditions import (check_riccati_solvable, compute_L,
+                              compute_mainthm_norms)
 from lqmfg.fbsolver import (existence_scan, fixed_point_iterate,
                             solve_equilibrium_shooting)
 from lqmfg.mftype import solve_mftype_mean
 from lqmfg.riccati import (solve_nonsymmetric_direct,
                            solve_nonsymmetric_radon, solve_symmetric)
+from lqmfg.simulator import SimConfig, equilibrium_law, simulate_nplayer
 
 SEEDS = st.integers(0, 2**32 - 1)
 HORIZONS = st.sampled_from([1.0, 3.0, 6.0])
 BREAKS = st.integers(0, 3)  # 0: scalar and constant, else 2-d piecewise
-
-
-def _psd(rng, k, scale=1.0, floor=0.0):
-    W = rng.normal(size=(k, k))
-    return scale * (W @ W.T) / k + floor * np.eye(k)
-
-
-def contraction_spec(rng, T: float, breaks: int) -> ProblemSpec:
-    """Weak mean-field coupling on [0, T]: scalar and constant for
-    breaks = 0, else 2-d with A, Q and Qbar each switching `breaks` times
-    at points of the 200-step grid."""
-    c = Schedule.constant
-    if breaks == 0:
-        s = lambda v: c(np.array([[float(v)]]))
-        return ProblemSpec(
-            n=1, m=1, T=T, A=s(rng.uniform(-1.0, 1.0)),
-            Abar=s(rng.uniform(-0.3, 0.3)), B=s(rng.uniform(0.5, 1.5)),
-            sigma=s(0.3), Q=s(rng.uniform(0.5, 2.0)),
-            Qbar=s(rng.uniform(0.0, 0.3)), R=s(rng.uniform(0.5, 2.0)),
-            S=s(rng.uniform(0.0, 1.0)),
-            QT=np.array([[rng.uniform(0.0, 1.0)]]), QbarT=np.zeros((1, 1)),
-            ST=np.ones((1, 1)), x0_mean=np.array([rng.uniform(-2.0, 2.0)]),
-            delta=0.25)
-    n = 2
-
-    def piecewise(draw):
-        at = rng.choice(np.arange(25, 175), size=breaks, replace=False)
-        return Schedule.piecewise([(t, draw()) for t in
-                                   [0.0, *(T * np.sort(at) / 200)]])
-
-    return ProblemSpec(
-        n=n, m=n, T=T,
-        A=piecewise(lambda: rng.normal(scale=0.5, size=(n, n))),
-        Abar=c(rng.normal(scale=0.1, size=(n, n))),
-        B=c(np.eye(n) + rng.normal(scale=0.2, size=(n, n))),
-        sigma=c(0.2 * np.eye(n)),
-        Q=piecewise(lambda: _psd(rng, n, floor=0.5)),
-        Qbar=piecewise(lambda: _psd(rng, n, scale=0.1)),
-        R=c(_psd(rng, n, scale=0.5, floor=0.5)),
-        S=c(float(rng.uniform(0.0, 1.0)) * np.eye(n)),
-        QT=_psd(rng, n, scale=0.5), QbarT=np.zeros((n, n)), ST=np.eye(n),
-        x0_mean=rng.normal(size=n), delta=0.25)
-
-
-def classical_spec(rng, n: int) -> ProblemSpec:
-    """The classical-LQ reduction: Abar = 0, Qbar = QbarT = 0."""
-    m = int(rng.integers(1, n + 1))
-    c = Schedule.constant
-    zeros = np.zeros((n, n))
-    return ProblemSpec(
-        n=n, m=m, T=float(rng.uniform(0.4, 1.2)),
-        A=c(rng.normal(scale=0.5, size=(n, n))), Abar=c(zeros),
-        B=c(rng.normal(scale=0.8, size=(n, m))), sigma=c(0.2 * np.eye(n)),
-        Q=c(_psd(rng, n, floor=0.05)), Qbar=c(zeros),
-        R=c(_psd(rng, m, scale=0.5, floor=0.5)),
-        S=c(rng.normal(scale=0.5, size=(n, n))),
-        QT=_psd(rng, n), QbarT=zeros, ST=np.eye(n),
-        x0_mean=rng.normal(size=n), delta=0.25)
 
 
 def contraction_converges(seed: int, T: float, breaks: int) -> bool:
@@ -142,6 +89,87 @@ def scalar_scan_has_no_bracket(seed: int):
     assert existence_scan(spec, 40.0, 4000).sign_change_brackets == []
 
 
+def transform(spec, P):
+    """The same game in the coordinates x' = P x: A, Abar, S and ST go to
+    P (.) P^-1, B and sigma to P (.), the weights Q, Qbar, QT and QbarT to
+    P^-T (.) P^-1, and x0 to P x0."""
+    Pinv = np.linalg.inv(P)
+
+    def similar(M):
+        return P @ M @ Pinv
+
+    def weight(M):
+        return Pinv.T @ M @ Pinv
+
+    return replace(spec, A=spec.A.map(similar), Abar=spec.Abar.map(similar),
+                   B=spec.B.map(lambda M: P @ M),
+                   sigma=spec.sigma.map(lambda M: P @ M),
+                   S=spec.S.map(similar), Q=spec.Q.map(weight),
+                   Qbar=spec.Qbar.map(weight), QT=weight(spec.QT),
+                   QbarT=weight(spec.QbarT), ST=similar(spec.ST),
+                   x0_mean=P @ spec.x0_mean)
+
+
+def terminal_coupled_spec(rng, breaks: int):
+    """A 2-d piecewise contraction spec on [0, 1] whose terminal mean-field
+    weight is live: QbarT != 0 and ST nonsymmetric."""
+    spec = contraction_spec(rng, 1.0, breaks)
+    return replace(spec, QbarT=psd(rng, 2, scale=0.3),
+                   ST=rng.normal(scale=0.5, size=(2, 2)))
+
+
+def _close(a, b, tol=1e-9):
+    """a = b to tol relative to the larger of 1 and max |b|."""
+    return np.max(np.abs(a - b)) <= tol * max(1.0, float(np.max(np.abs(b))))
+
+
+def coordinate_change_covariance(seed: int, breaks: int):
+    """P6: under x' = P x for a general invertible P, x and the mftype mean
+    map to P x, eta to P^-T eta, and Gamma (direct and Radon) and Xi to
+    P^-T (.) P^-1; det Phi22 and the N-player costs (deterministic x0, the
+    same draws) do not change."""
+    rng = np.random.default_rng(seed)
+    spec = terminal_coupled_spec(rng, breaks)
+    P = np.eye(2) + 0.5 * rng.normal(size=(2, 2))
+    while np.linalg.cond(P) > 20.0:
+        P = np.eye(2) + 0.5 * rng.normal(size=(2, 2))
+    Pinv = np.linalg.inv(P)
+    moved = transform(spec, P)
+    grid = build_grid(spec, 200)
+    for route in (solve_nonsymmetric_direct, solve_nonsymmetric_radon,
+                  solve_symmetric):
+        assert _close(Pinv.T @ route(spec, grid).gamma @ Pinv,
+                      route(moved, grid).gamma), route.__name__
+    shoot, shoot_moved = (solve_equilibrium_shooting(s, grid)
+                          for s in (spec, moved))
+    assert _close(shoot.xi @ P.T, shoot_moved.xi)
+    assert _close(shoot.eta @ Pinv, shoot_moved.eta)
+    assert _close(solve_mftype_mean(spec, grid).ybar @ P.T,
+                  solve_mftype_mean(moved, grid).ybar)
+    assert _close(existence_scan(spec, 1.0, 200).det22,
+                  existence_scan(moved, 1.0, 200).det22)
+    runs = [simulate_nplayer(s, equilibrium_law(s, grid)[0], SimConfig(
+        N_values=(3,), paths=1, seed=seed, dt=0.02, x0_mean=s.x0_mean,
+        x0_cov=np.zeros((2, 2))), N=3) for s in (spec, moved)]
+    assert _close(runs[0].states @ P.T, runs[1].states)
+    assert _close(runs[0].costs, runs[1].costs)
+
+
+def orthogonal_change_keeps_the_norms(seed: int, breaks: int):
+    """P7: an orthogonal P keeps every spectral norm, so L and the
+    mainthm lhs do not change.  (Under a general P the lhs does: a
+    `mainthm: violated` verdict holds only in the given coordinates.)"""
+    rng = np.random.default_rng(seed)
+    spec = terminal_coupled_spec(rng, breaks)
+    P = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    moved = transform(spec, P)
+    grid = build_grid(spec, 200)
+    assert _close(compute_L(spec), compute_L(moved), 1e-12)
+    lhs, lhs_moved = (compute_mainthm_norms(s, grid).mainthm_lhs
+                      for s in (spec, moved))
+    assert _close(lhs, lhs_moved, 1e-10)
+
+
 @settings(max_examples=12, deadline=None, database=None)
 @given(SEEDS, HORIZONS, BREAKS)
 def test_mainthm_satisfied_means_the_fixed_point_contracts(seed, T, breaks):
@@ -165,3 +193,15 @@ def test_classical_reduction_collapses_the_mean_field_routes(seed, n):
 @given(SEEDS)
 def test_scalar_scan_finds_no_bracket_up_to_forty(seed):
     scalar_scan_has_no_bracket(seed)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(SEEDS, st.integers(1, 3))
+def test_a_change_of_coordinates_maps_every_route_covariantly(seed, breaks):
+    coordinate_change_covariance(seed, breaks)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(SEEDS, st.integers(1, 3))
+def test_an_orthogonal_change_keeps_L_and_the_mainthm_lhs(seed, breaks):
+    orthogonal_change_keeps_the_norms(seed, breaks)
