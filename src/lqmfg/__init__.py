@@ -14,8 +14,7 @@ from .fbsolver import (FBSolution, FeedbackLaw, NoConvergence, ScanReport,
                        refine_singular_horizon, solve_equilibrium_shooting)
 from .mftype import (ComparisonResult, MFTypeSolution, compare_mfg_mftype,
                      solve_mftype_mean)
-from .odecore import (FundamentalSolution, IntegrationOverflow,
-                      fundamental_solution, inv_sqrt, psd_sqrt, spectral_norm)
+from .odecore import IntegrationOverflow, inv_sqrt, psd_sqrt, spectral_norm
 from .riccati import (BoundaryOperatorSingular, DistinctRootsViolated,
                       RiccatiPath, solve_1d_closed_form,
                       solve_nonsymmetric_direct, solve_nonsymmetric_radon,

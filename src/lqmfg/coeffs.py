@@ -6,10 +6,12 @@ invariants, and evaluates time-varying coefficients on uniform grids.
 Coefficients are constant or piecewise-constant in time, evaluated
 right-continuously.
 
-`system_blocks` is the one place the coefficient blocks shared by every
-system of the package are defined: B R^-1 B*, R^-1 B*, Seff = Qbar (I - S),
-Q + Seff and the terminal weight QT + QbarT (I - ST).  The CSV writer all
-modules use lives here as well.
+`system_blocks` and `hamiltonian` are the one place the blocks shared by
+every system of the package are defined: `system_blocks` the coefficient
+blocks B R^-1 B*, R^-1 B*, Seff = Qbar (I - S), Q + Seff and the terminal
+weight QT + QbarT (I - ST), and `hamiltonian` the 2n x 2n layout
+[[F, -B R^-1 B*], [-W, -G*]] of the linear Hamiltonian system they fill.
+The CSV writer all modules use lives here as well.
 """
 
 from __future__ import annotations
@@ -326,6 +328,15 @@ def system_blocks(spec: ProblemSpec) -> SystemBlocks:
         Seff=Seff,
         QS=Schedule.combine(np.add, spec.Q, Seff),
         GT=spec.QT + spec.terminal_effective_S)
+
+
+def hamiltonian(drift: Schedule, BRB: Schedule, weight: Schedule,
+                adjoint: Schedule | None = None) -> Schedule:
+    """The linear Hamiltonian system [[drift, -BRB], [-weight, -adjoint*]]
+    of d/dt (x; p), on the merged breakpoints; adjoint defaults to drift."""
+    return Schedule.combine(
+        lambda F, BRB, W, G: np.block([[F, -BRB], [-W, -G.T]]),
+        drift, BRB, weight, drift if adjoint is None else adjoint)
 
 
 def sample(schedule: Schedule, grid: np.ndarray) -> np.ndarray:

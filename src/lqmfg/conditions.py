@@ -34,8 +34,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, _min_eig, csv_text, sample,
-                     system_blocks, uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, _min_eig, csv_text, hamiltonian,
+                     sample, system_blocks, uniform_grid)
 from .odecore import (_rk4_linear, _sweep, inv_sqrt, psd_sqrt, spectral_norm,
                       spectral_norms)
 
@@ -366,7 +366,7 @@ def appendix_feedback_riccati(p: AppendixParams,
     trapezoid rule.
     """
     k2 = p.b ** 2 / p.r
-    H = Schedule.constant([[p.a, -k2], [-1.0, -p.a]])
+    H = hamiltonian(*map(Schedule.constant, (p.a, k2, 1.0)))
     pi = _sweep(H, np.zeros((1, 1)), grid)[0][:, 0, 0]
     F = _cumulative_trapezoid(p.a - k2 * pi, grid)
     return FeedbackRiccati(grid=grid, pi=pi, F=F)
@@ -440,7 +440,8 @@ def appendix_adjoint_route(p: AppendixParams,
     and zbar by its forward pass.
     """
     k2 = p.b ** 2 / p.r
-    H = Schedule.constant([[p.a + p.alpha, -k2], [-(1.0 - p.gamma), -p.a]])
+    H = hamiltonian(*map(Schedule.constant,
+                         (p.a + p.alpha, k2, 1.0 - p.gamma, p.a)))
     source = np.tile([0.0, p.gamma * p.eta], (grid.size - 1, 3, 1))
     Gamma, rho, zbar = _sweep(H, np.zeros((1, 1)), grid, source,
                               x0=np.zeros(1))

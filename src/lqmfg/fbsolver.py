@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, csv_text, sample, system_blocks,
-                     uniform_grid)
-from .odecore import (_doublings, _step_maps, _step_offsets,
-                      fundamental_solution, stage_source, step_pieces)
+from .coeffs import (ProblemSpec, Schedule, csv_text, hamiltonian, sample,
+                     system_blocks, uniform_grid)
+from .odecore import (_doublings, _rk4_linear, _step_maps, _step_offsets,
+                      stage_source, step_pieces)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
@@ -92,10 +92,8 @@ def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     """The 2n x 2n piecewise-constant system matrix of the forward form
     and the terminal boundary weight QT + SeffT."""
     blocks = system_blocks(spec)
-    M = Schedule.combine(
-        lambda A, Abar, BRB, QS: np.block([[A + Abar, -BRB], [-QS, -A.T]]),
-        spec.A, spec.Abar, blocks.BRB, blocks.QS)
-    return M, blocks.GT
+    drift = Schedule.combine(np.add, spec.A, spec.Abar)
+    return hamiltonian(drift, blocks.BRB, blocks.QS, spec.A), blocks.GT
 
 
 class _TwoPoint:
@@ -196,7 +194,7 @@ def existence_scan(spec: ProblemSpec, t_max: float, steps: int) -> ScanReport:
     Msched, _ = equilibrium_system(spec)
     grid = uniform_grid(t_max, steps)
     n = spec.n
-    samples = fundamental_solution(Msched, 0.0, grid).samples
+    samples = _rk4_linear(Msched, np.eye(2 * n), grid)
     det22 = np.linalg.det(samples[:, n:, n:])
     det21 = np.linalg.det(samples[:, n:, :n])
     floor = n * np.finfo(float).eps * np.prod(
@@ -222,8 +220,7 @@ def refine_singular_horizon(spec: ProblemSpec, bracket: tuple[float, float],
     def det22(t):
         if t == 0.0:
             return 1.0
-        phi = fundamental_solution(Msched, 0.0,
-                                   uniform_grid(t, steps)).samples[-1]
+        phi = _rk4_linear(Msched, np.eye(2 * n), uniform_grid(t, steps))[-1]
         return float(np.linalg.det(phi[n:, n:]))
 
     lo, hi = bracket
@@ -251,10 +248,7 @@ def _aux_inner_system(spec: ProblemSpec) -> tuple[Schedule, Schedule, Schedule]:
     """System matrix of the auxiliary (classical LQ) problem plus the
     Abar and Seff schedules that multiply the frozen iterate z."""
     blocks = system_blocks(spec)
-    M = Schedule.combine(
-        lambda A, BRB, Q: np.block([[A, -BRB], [-Q, -A.T]]),
-        spec.A, blocks.BRB, spec.Q)
-    return M, spec.Abar, blocks.Seff
+    return hamiltonian(spec.A, blocks.BRB, spec.Q), spec.Abar, blocks.Seff
 
 
 def fixed_point_iterate(spec: ProblemSpec, grid: np.ndarray,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (ProblemSpec, Schedule, csv_text, system_blocks,
-                     uniform_grid)
+from .coeffs import (ProblemSpec, Schedule, csv_text, hamiltonian,
+                     system_blocks, uniform_grid)
 from .fbsolver import _TwoPoint
 
 DIFFER_RTOL = 1e-7
@@ -64,15 +64,10 @@ class ComparisonResult:
 
 def mftype_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
     eye = np.eye(spec.n)
-
-    def system(A, Abar, BRB, Q, Qbar, S):
-        A_eff = A + Abar
-        ImS = eye - S
-        W = Q + ImS.T @ Qbar @ ImS
-        return np.block([[A_eff, -BRB], [-W, -A_eff.T]])
-
-    M = Schedule.combine(system, spec.A, spec.Abar, system_blocks(spec).BRB,
+    W = Schedule.combine(lambda Q, Qbar, S: Q + (eye - S).T @ Qbar @ (eye - S),
                          spec.Q, spec.Qbar, spec.S)
+    M = hamiltonian(Schedule.combine(np.add, spec.A, spec.Abar),
+                    system_blocks(spec).BRB, W)
     ImST = eye - spec.ST
     GT = spec.QT + ImST.T @ spec.QbarT @ ImST
     return M, GT
@@ -101,8 +96,8 @@ def compare_mfg_mftype(a: float, abar: float, b: float, T: float,
     grid = uniform_grid(T, steps)
     brb = b * b / r
 
-    def system(back_diag: float):
-        M = Schedule.constant([[a + abar, -brb], [-q, -back_diag]])
+    def system(adjoint: float):
+        M = hamiltonian(*map(Schedule.constant, (a + abar, brb, q, adjoint)))
         return _TwoPoint(M, [x0_mean], np.array([[qT]]), grid).solve()
 
     phi1, psi1 = system(a)

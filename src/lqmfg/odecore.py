@@ -4,28 +4,28 @@ The classical fixed-step RK4 scheme as exact per-step maps:
 `_step_maps` builds y_{k+1} = E_k y_k + f_k for a linear system
 y' = M(t) y + s(t) with a piecewise-constant `Schedule` M in batched
 numpy.  Every linear object of the package comes from them: shooting,
-fundamental solutions and the scans, the Radon backward pass, |||phi|||,
-and through `_sweep` the symmetric Riccati pair and both appendix
-routes.  No Python loop runs over the steps: `_compose_prefix` composes
-the maps by recursive doubling, which `_rk4_linear` applies to the start
-value and `_sweep` applies within blocks of about sqrt(K) steps.
-`fbsolver`'s two-point solver keeps the levels of `_doublings`: a new
-source costs its `_step_offsets`.  Only the direct nonsymmetric Gamma
-route, a deliberately independent cross-check, steps its own nonlinear
-RK4 loop (in `riccati`).
+the det Phi22 scans (Phi_t from 0), Radon's rows C Phi(T, t)
+(`_boundary_rows`, from the reversed transposes of the same forward
+maps), |||phi|||, and through `_sweep`
+the symmetric Riccati pair and both appendix routes.  No Python loop
+runs over the steps: `_compose_prefix` composes the maps by recursive
+doubling, which `_propagate` applies to a start value and `_sweep`
+applies within blocks of about sqrt(K) steps.  `fbsolver`'s two-point
+solver keeps the levels of `_doublings`: a new source costs its
+`_step_offsets`.  Only the direct nonsymmetric Gamma route, a
+deliberately independent cross-check, steps its own nonlinear RK4 loop
+(in `riccati`).
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
-Also here: z-driven sources, fundamental solutions of dphi/dt = A_t phi,
-principal PSD square roots, and spectral norms (from the Gram matrix,
-without an SVD).
-Backward problems are integrated by the substitution tau = T - t, so
-the maps only ever step forward.
+Also here: z-driven sources, principal PSD square roots, and spectral
+norms (from the Gram matrix, without an SVD).
+The backward Riccati sweep integrates by the substitution tau = T - t,
+so the maps only ever step forward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -172,14 +172,17 @@ def _doublings(P: np.ndarray):
         s *= 2
 
 
-def _rk4_linear(M: Schedule, y0, grid, source=None,
-                backward: bool = False) -> np.ndarray:
-    """RK4 path of y' = M(t) y + s(t) by `_step_maps`, from y(0) = y0 (or
-    y(T) = y0 with backward=True); shape (K+1,) + y0.shape.  Every grid
-    value comes from the composed step maps of `_compose_prefix`.  Raises
-    IntegrationOverflow at the first non-finite grid value."""
+def _rk4_linear(M: Schedule, y0, grid, source=None) -> np.ndarray:
+    """RK4 path of y' = M(t) y + s(t) by `_step_maps` from y(0) = y0, shape
+    (K+1,) + y0.shape: `_propagate` of the maps."""
+    return _propagate(*_step_maps(M, grid, source), y0)
+
+
+def _propagate(E: np.ndarray, f: np.ndarray | None, y0) -> np.ndarray:
+    """The values y_0 = y0, y_{k+1} = E_k y_k + f_k, shape (K+1,) +
+    y0.shape, each from the composed maps of `_compose_prefix`.  Raises
+    IntegrationOverflow at the first non-finite value."""
     y0 = np.asarray(y0, dtype=float)
-    E, f = _step_maps(M, grid, source, backward)
     K = E.shape[0]
     Y0 = y0.reshape(y0.shape[0], -1)
     P, g = _compose_prefix(E, f)
@@ -190,11 +193,25 @@ def _rk4_linear(M: Schedule, y0, grid, source=None,
     if bad.any():
         index = int(np.argmax(bad)) + 1
         path[index + 1:] = np.nan
-        if backward:
-            raise IntegrationOverflow(K - index, path[::-1].copy(),
-                                      direction="backward")
         raise IntegrationOverflow(index, path)
-    return path[::-1].copy() if backward else path
+    return path
+
+
+def _boundary_rows(M: Schedule, C, grid) -> np.ndarray:
+    """C Phi(T,t_k) at every grid point, Phi the fundamental solution of
+    y' = M(t) y: C E_{K-1} ... E_k for the forward step maps E of
+    `_step_maps` (the maps shooting and the scan step), composed by
+    `_compose_prefix` on their reversed transposes.  Raises
+    IntegrationOverflow (direction "backward") at the last grid index
+    where Phi(T,t) is not finite."""
+    E = _step_maps(M, grid)[0]
+    try:  # Phi(T,t_k)* at index K - k
+        Phi_t = _propagate(E[::-1].transpose(0, 2, 1), None,
+                           np.eye(M.shape[0]))
+    except IntegrationOverflow as exc:
+        raise IntegrationOverflow(len(E) - exc.index, exc.path[::-1].copy(),
+                                  direction="backward") from None
+    return np.einsum("ij,klj->kil", C, Phi_t[::-1])
 
 
 def _sweep(M: Schedule, GT, grid, source=None, cT=None, x0=None):
@@ -266,37 +283,6 @@ def _moebius(P, g, Gamma, zeta):
                             np.swapaxes(W[..., n:, :], -1, -2))
     Gamma = np.swapaxes(Gamma, -1, -2)
     return Gamma, v[..., n:, 0] - (Gamma @ v[..., :n, :])[..., 0]
-
-
-@dataclass(frozen=True)
-class FundamentalSolution:
-    """Samples of phi(t, s), the solution of dphi/dt = A_t phi, phi(s,s)=I."""
-
-    anchor: float
-    grid: np.ndarray
-    samples: np.ndarray  # (len(grid), n, n)
-
-
-def fundamental_solution(A, s: float, grid) -> FundamentalSolution:
-    """Fundamental solution associated with A_t, anchored at grid point s.
-
-    Integrates forward from s to T and backward from s to 0, so samples
-    cover the whole grid.  A is a Schedule or a constant matrix.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if not isinstance(A, Schedule):
-        A = Schedule.constant(A)
-    idx = int(np.argmin(np.abs(grid - s)))
-    if abs(grid[idx] - s) > 1e-9 * max(1.0, abs(grid[-1])):
-        raise ValueError(f"anchor {s} is not a grid point")
-    eye = np.eye(A.shape[0])
-    samples = np.empty((grid.size,) + eye.shape)
-    samples[idx] = eye
-    if idx < grid.size - 1:
-        samples[idx:] = _rk4_linear(A, eye, grid[idx:])
-    if idx > 0:
-        samples[:idx + 1] = _rk4_linear(A, eye, grid[:idx + 1], backward=True)
-    return FundamentalSolution(float(grid[idx]), grid, samples)
 
 
 def _check_symmetric(M: np.ndarray) -> np.ndarray:

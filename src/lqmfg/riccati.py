@@ -6,10 +6,11 @@ Three routes to the matrix paths:
   problem with a frozen mean path z, by the backward Riccati sweep
   `odecore._sweep` of the RK4 step maps of its linear Hamiltonian system,
 * the nonsymmetric equation for Gamma in the ansatz eta = Gamma xi,
-  solved either through blocks of the fundamental solution (Radon's
-  lemma) or by its own backward RK4 loop on the equation itself, with
-  blow-up detection: two matmuls per field evaluation, and Python floats
-  when n = 1,
+  solved either through blocks of the fundamental solution Phi(T, t)
+  (Radon's lemma), composed from the equilibrium system's forward RK4
+  step maps, or by its own backward RK4 loop on the equation itself,
+  with blow-up detection: two matmuls per field evaluation, and Python
+  floats when n = 1,
 * explicit closed forms in the scalar constant-coefficient case.
 
 Gamma carries A+Abar on one side and A* on the other, so it need not be
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import (ProblemSpec, Schedule, check_uniform_grid, csv_text,
-                     sample, system_blocks)
+                     hamiltonian, sample, system_blocks)
 from .fbsolver import COND_LIMIT, equilibrium_system
-from .odecore import _rk4_linear, _sweep, stage_source, step_pieces
+from .odecore import _boundary_rows, _sweep, stage_source, step_pieces
 
 BLOW_UP_LIMIT = 1e12
 
@@ -74,9 +75,8 @@ def solve_symmetric(spec: ProblemSpec, grid: np.ndarray,
     p(T) = (QT + QbarT) x(T) - QbarT ST z(T), by one `odecore._sweep` of
     its backward RK4 step maps from T.
     """
-    H = Schedule.combine(
-        lambda A, BRB, Q, Qbar: np.block([[A, -BRB], [-(Q + Qbar), -A.T]]),
-        spec.A, system_blocks(spec).BRB, spec.Q, spec.Qbar)
+    H = hamiltonian(spec.A, system_blocks(spec).BRB,
+                    Schedule.combine(np.add, spec.Q, spec.Qbar))
     source = cT = None
     if z is not None:
         drive = Schedule.combine(lambda Ab, Qb, S: np.vstack([Ab, Qb @ S]),
@@ -97,24 +97,25 @@ def solve_nonsymmetric_direct(spec: ProblemSpec,
                     - (Q + Seff),   Gamma_T = QT + SeffT.
 
     Classical RK4 on the equation itself in tau = T - t, restarted at
-    each run of `odecore.step_pieces` with the constant blocks of its
-    piece, and independent of the linear step maps.  A blow-up (an entry
-    beyond 1e12, or not finite) is returned as a flagged path, since the
-    equation is not always solvable.
+    each run of `odecore.step_pieces` with the column blocks of the
+    equilibrium system in force on it, and independent of the linear step
+    maps.  A blow-up (an entry beyond 1e12, or not finite) is returned as
+    a flagged path, since the equation is not always solvable.
     """
-    blocks = system_blocks(spec)
-    mids, cuts = step_pieces(equilibrium_system(spec)[0], grid)
-    gamma = np.full((grid.size,) + blocks.GT.shape, np.nan)
-    gamma[-1] = blocks.GT
+    M, GT = equilibrium_system(spec)
+    n = spec.n
+    mids, cuts = step_pieces(M, grid)
+    gamma = np.full((grid.size, n, n), np.nan)
+    gamma[-1] = GT
     for lo, hi in zip(cuts[-2::-1], cuts[:0:-1]):
-        A, Abar, BRB, QS = (S.at(mids[lo]) for S in (spec.A, spec.Abar,
-                                                     blocks.BRB, blocks.QS))
+        Mk = M.at(mids[lo])
         taus = grid[hi] - grid[lo:hi + 1][::-1]
         check_uniform_grid(taus)
-        Hl, Hr = np.vstack([A + Abar, -QS]), np.vstack([-BRB, -A.T])
+        Hl, Hr = (np.ascontiguousarray(Mk[:, cols])
+                  for cols in (slice(None, n), slice(n, None)))
         run = _rk4_tau(gamma[hi], Hl, Hr, np.diff(taus).tolist())
         first = hi + 1 - len(run)
-        gamma[first:hi + 1] = np.reshape(run[::-1], (-1,) + blocks.GT.shape)
+        gamma[first:hi + 1] = np.reshape(run[::-1], (-1, n, n))
         if not np.abs(gamma[first]).max() <= BLOW_UP_LIMIT:
             return RiccatiPath(grid=grid, gamma=gamma, blow_up=first)
     return RiccatiPath(grid=grid, gamma=gamma)
@@ -160,17 +161,15 @@ def solve_nonsymmetric_radon(spec: ProblemSpec,
 
         Gamma_t = -[(GT, -I) Phi(T,t) (O; I)]^-1 [(GT, -I) Phi(T,t) (I; O)]
 
-    with GT = QT + SeffT.  Phi(T,t) is obtained in one backward pass from
-    dPsi/dt = -Psi M(t), Psi(T) = I, propagated as its transpose
-    dPsi*/dt = -M(t)* Psi*.  Raises BoundaryOperatorSingular at the first
-    grid time where the inverted block is ill conditioned.
+    with GT = QT + SeffT, the rows (GT, -I) Phi(T,t) by
+    `odecore._boundary_rows` from the equilibrium system's forward step
+    maps.  Raises its IntegrationOverflow where Phi(T,t) is not finite,
+    and BoundaryOperatorSingular at the first grid time where the
+    inverted block is ill conditioned.
     """
     Msched, GT = equilibrium_system(spec)
     n = spec.n
-    Psi = _rk4_linear(Msched.map(lambda M: -M.T), np.eye(2 * n), grid,
-                      backward=True).transpose(0, 2, 1)
-    C = np.hstack([GT, -np.eye(n)])
-    CP = np.einsum("ij,kjl->kil", C, Psi)
+    CP = _boundary_rows(Msched, np.hstack([GT, -np.eye(n)]), grid)
     U = CP[:, :, :n]
     V = CP[:, :, n:]
     conds = np.linalg.cond(V)

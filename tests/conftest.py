@@ -128,6 +128,24 @@ def rk4_by_piece(field_at, y0, grid, breakpoints=(), backward=False,
     return path
 
 
+def fundamental_solution(A: Schedule, s: float, grid) -> np.ndarray:
+    """Samples phi(t, s) on the grid of the solution of dphi/dt = A_t phi,
+    phi(s, s) = I, anchored at the grid point s: `rk4_by_piece` forward
+    from s to T and backward from s to 0, by field calls."""
+    grid = np.asarray(grid, dtype=float)
+    idx = int(np.argmin(np.abs(grid - s)))
+    eye = np.eye(A.shape[0])
+    samples = np.empty((grid.size,) + eye.shape)
+    samples[idx] = eye
+    for part, backward in ((slice(idx, None), False),
+                           (slice(None, idx + 1), True)):
+        if grid[part].size > 1:
+            samples[part] = rk4_by_piece(
+                lambda c: (lambda t, y, P=A.at(c): P @ y), eye, grid[part],
+                A.breakpoints, backward)
+    return samples
+
+
 def scalar_spec(a=0.0, abar=0.0, b=1.0, sigma=0.0, q=1.0, qbar=0.0, r=1.0,
                 s=0.0, qT=0.0, qbarT=0.0, sT=0.0, T=1.0, x0=1.0,
                 delta=1e-6) -> ProblemSpec:

@@ -20,7 +20,7 @@ from lqmfg.fbsolver import (equilibrium_system, existence_scan,
                             fixed_point_iterate, refine_singular_horizon,
                             solve_equilibrium_shooting)
 from lqmfg.mftype import compare_mfg_mftype
-from lqmfg.odecore import fundamental_solution
+from lqmfg.odecore import _rk4_linear
 from lqmfg.riccati import (solve_1d_closed_form, solve_nonsymmetric_direct,
                            solve_nonsymmetric_radon, solve_symmetric)
 from lqmfg.simulator import SimConfig, epsilon_nash_probe, mckean_gap
@@ -216,8 +216,7 @@ def test_criterion_10_numerical_hygiene():
     spec = load_config(bundled_config("counterexample_2d_1"))
     M, _ = equilibrium_system(spec)
     grid = uniform_grid(1.0, 500)
-    fs = fundamental_solution(M.at(0.0), 0.0, grid)
-    dets = np.linalg.det(fs.samples)
+    dets = np.linalg.det(_rk4_linear(M, np.eye(4), grid))
     liouville = float(np.max(np.abs(dets / np.exp(0.4 * grid) - 1.0)))
     ok = 14.0 <= factor <= 18.0 and liouville < 1e-6
     _report(10, ok, f"RK4 order factor {factor:.2f} in [14,18]; "

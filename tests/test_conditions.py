@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from conftest import (random_contractive_scalar_spec, rk4_integrate,
-                      rk4_integrate_backward, scalar_spec, stage_reader)
+from conftest import (fundamental_solution, random_contractive_scalar_spec,
+                      rk4_integrate, rk4_integrate_backward, scalar_spec,
+                      stage_reader)
 from lqmfg.coeffs import (ProblemSpec, Schedule, build_grid, sample,
                           uniform_grid)
 from lqmfg.conditions import (AppendixParams, _strict_less_one, _tail_trapezoid,
@@ -15,7 +16,6 @@ from lqmfg.conditions import (AppendixParams, _strict_less_one, _tail_trapezoid,
                               check_shifted, compute_L, compute_mainthm_norms,
                               riccati_solvable_verdict)
 from lqmfg.fbsolver import fixed_point_iterate, solve_equilibrium_shooting
-from lqmfg.odecore import fundamental_solution
 from lqmfg.riccati import solve_nonsymmetric_radon
 
 
@@ -155,7 +155,7 @@ def _phi_norm_oracle(spec, grid):
     sqrtQT = sqrt_psd(spec.QT)
     best = 0.0
     for k, t in enumerate(grid):
-        phi = fundamental_solution(spec.A, t, grid).samples   # phi(s, t)
+        phi = fundamental_solution(spec.A, t, grid)   # phi(s, t)
         running = [norm2(phi[j].T @ sqrtQ[j]) for j in range(k, grid.size)]
         best = max(best, norm2(phi[-1].T @ sqrtQT)
                    + trapezoid(running, grid[k:]))

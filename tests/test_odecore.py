@@ -9,10 +9,9 @@ from conftest import (rk4_by_piece, rk4_integrate, rk4_integrate_backward,
                       stage_reader)
 from lqmfg.coeffs import Schedule, uniform_grid
 from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
-from lqmfg.odecore import (FundamentalSolution, IntegrationOverflow,
+from lqmfg.odecore import (IntegrationOverflow, _boundary_rows,
                            _compose_prefix, _midpoints, _rk4_linear,
-                           _step_maps, _sweep,
-                           fundamental_solution, inv_sqrt, psd_sqrt,
+                           _step_maps, _sweep, inv_sqrt, psd_sqrt,
                            spectral_norm, spectral_norms)
 from lqmfg.riccati import solve_nonsymmetric_radon
 
@@ -101,11 +100,11 @@ def linear_problems(draw, off_grid=True):
     return M, grid, y0, source
 
 
-def _oracle(M, grid, y0, source=None, backward=False):
+def _oracle(M, grid, y0, source=None):
     """RK4 by field calls, restarted at every breakpoint of M."""
-    read = (lambda: 0.0) if source is None else stage_reader(source, backward)
+    read = (lambda: 0.0) if source is None else stage_reader(source)
     return rk4_by_piece(lambda c: (lambda t, y, P=M.at(c): P @ y + read()),
-                        y0, grid, M.breakpoints, backward)
+                        y0, grid, M.breakpoints)
 
 
 def _assert_close(path, reference):
@@ -115,12 +114,12 @@ def _assert_close(path, reference):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.data(), st.booleans(), st.booleans())
-def test_linear_propagator_matches_rk4(data, with_source, backward):
+@given(st.data(), st.booleans())
+def test_linear_propagator_matches_rk4(data, with_source):
     M, grid, y0, source = data.draw(linear_problems(off_grid=not with_source))
     source = source if with_source else None
-    _assert_close(_rk4_linear(M, y0, grid, source, backward=backward),
-                  _oracle(M, grid, y0, source, backward))
+    _assert_close(_rk4_linear(M, y0, grid, source),
+                  _oracle(M, grid, y0, source))
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -144,34 +143,31 @@ def test_step_maps_source_across_an_off_grid_breakpoint(backward):
 @settings(max_examples=30, deadline=None, database=None)
 @given(linear_problems())
 def test_linear_propagator_left_multiplied_form(problem):
-    # dPsi/dt = -Psi M, Psi(T) = I, propagated as its transpose
-    M, grid, _, _ = problem
-    eye = np.eye(M.shape[0])
+    # Radon's rows C Phi(T, t_k), composed from the reversed transposes of
+    # the forward step maps, against dPsi/dt = -Psi M, Psi(T) = C
+    M, grid, y0, _ = problem
+    C = y0.reshape(M.shape[0], -1).T
     reference = rk4_by_piece(lambda c: (lambda t, P, A=M.at(c): -P @ A),
-                             eye, grid, M.breakpoints, backward=True)
-    Psi = _rk4_linear(M.map(lambda A: -A.T), eye, grid, backward=True)
-    _assert_close(Psi.transpose(0, 2, 1), reference)
+                             C, grid, M.breakpoints, backward=True)
+    _assert_close(_boundary_rows(M, C, grid), reference)
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(linear_problems(off_grid=False), st.booleans(), st.data())
-def test_linear_propagator_overflow_index_matches_rk4(problem, backward,
-                                                      data):
+@given(linear_problems(off_grid=False), st.data())
+def test_linear_propagator_overflow_index_matches_rk4(problem, data):
     M, grid, y0, source = problem
     k = data.draw(st.integers(0, source.shape[0] - 1))
     j = data.draw(st.integers(0, 2))
     source[k, j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
     with np.errstate(all="ignore"):
         with pytest.raises(IntegrationOverflow) as ref:
-            _oracle(M, grid, y0, source, backward)
+            _oracle(M, grid, y0, source)
         with pytest.raises(IntegrationOverflow) as new:
-            _rk4_linear(M, y0, grid, source, backward=backward)
+            _rk4_linear(M, y0, grid, source)
     index = new.value.index
     assert index == ref.value.index
-    assert new.value.direction == ref.value.direction
-    steps = np.arange(grid.size)
-    assert np.all(np.isnan(
-        new.value.path[steps < index if backward else steps > index]))
+    assert new.value.direction == ref.value.direction == "forward"
+    assert np.all(np.isnan(new.value.path[index + 1:]))
     finite = np.isfinite(ref.value.path)
     assert np.array_equal(np.isfinite(new.value.path), finite)
     _assert_close(new.value.path[finite], ref.value.path[finite])
@@ -218,8 +214,8 @@ def test_fundamental_solution_off_grid_breakpoints_fourth_order():
     exact = (expm(0.598 * P[2])
              @ expm(0.0015 * P[1])
              @ expm(0.4005 * P[0]))
-    errors = [np.max(np.abs(fundamental_solution(
-        M, 0.0, uniform_grid(1.0, K)).samples[-1] - exact))
+    errors = [np.max(np.abs(_rk4_linear(
+        M, np.eye(2), uniform_grid(1.0, K))[-1] - exact))
               for K in (50, 100, 200, 400)]
     assert errors[0] < 1e-6
     for coarse, fine in zip(errors, errors[1:]):
@@ -347,47 +343,39 @@ def test_sweep_matches_per_step_sweep(K, affine):
     assert np.array_equal(Gamma[-1], GT)
 
 
+def _phi(A, grid):
+    """phi(t, t_0) of dphi/dt = A phi on the grid, by `_rk4_linear`."""
+    return _rk4_linear(Schedule.constant(A), np.eye(len(A)), grid)
+
+
 def test_fundamental_solution_zero_field_is_identity():
-    fs = fundamental_solution(np.zeros((2, 2)), 0.0, uniform_grid(1.0, 20))
-    assert np.allclose(fs.samples, np.eye(2))
+    assert np.allclose(_phi(np.zeros((2, 2)), uniform_grid(1.0, 20)),
+                       np.eye(2))
 
 
 def test_fundamental_solution_constant_matches_expm():
     rng = np.random.default_rng(3)
     A = rng.normal(scale=0.8, size=(3, 3))
     grid = uniform_grid(1.0, 400)
-    fs = fundamental_solution(A, 0.0, grid)
+    phi = _phi(A, grid)
     for k in (100, 250, 400):
-        assert np.max(np.abs(fs.samples[k]
-                             - expm(A * grid[k]))) < 1e-8
+        assert np.max(np.abs(phi[k] - expm(A * grid[k]))) < 1e-8
 
 
 def test_fundamental_solution_scalar_value():
-    fs = fundamental_solution(np.array([[2.0]]), 0.0, uniform_grid(0.5, 100))
-    assert abs(fs.samples[-1, 0, 0] - np.e) < 1e-8
-
-
-def test_fundamental_solution_backward_from_interior_anchor():
-    rng = np.random.default_rng(4)
-    A = rng.normal(scale=0.5, size=(2, 2))
-    grid = uniform_grid(1.0, 200)
-    fs = fundamental_solution(A, 0.5, grid)
-    assert isinstance(fs, FundamentalSolution)
-    assert np.max(np.abs(fs.samples[100] - np.eye(2))) < 1e-10
-    # phi(t, s) = exp(A (t - s)) for constant A, also for t < s
-    assert np.max(np.abs(fs.samples[0]
-                         - expm(-0.5 * A))) < 1e-8
+    phi = _phi(np.array([[2.0]]), uniform_grid(0.5, 100))
+    assert abs(phi[-1, 0, 0] - np.e) < 1e-8
 
 
 def test_semigroup_property():
     rng = np.random.default_rng(5)
     A = rng.normal(scale=0.7, size=(2, 2))
     grid = uniform_grid(1.0, 200)
-    phi_from_0 = fundamental_solution(A, 0.0, grid)
-    phi_from_mid = fundamental_solution(A, 0.5, grid)
+    phi_from_0 = _phi(A, grid)
+    phi_from_mid = _phi(A, grid[100:])
     # phi(t, s) = phi(t, r) phi(r, s), s=0, r=0.5, t=1
-    lhs = phi_from_0.samples[-1]
-    rhs = phi_from_mid.samples[-1] @ phi_from_0.samples[100]
+    lhs = phi_from_0[-1]
+    rhs = phi_from_mid[-1] @ phi_from_0[100]
     assert np.max(np.abs(lhs - rhs)) < 1e-7
 
 
@@ -395,8 +383,7 @@ def test_liouville_identity_random_constant():
     rng = np.random.default_rng(6)
     A = rng.normal(scale=0.6, size=(3, 3))
     grid = uniform_grid(1.0, 400)
-    fs = fundamental_solution(A, 0.0, grid)
-    dets = np.linalg.det(fs.samples)
+    dets = np.linalg.det(_phi(A, grid))
     expected = np.exp(np.trace(A) * grid)
     assert np.max(np.abs(dets / expected - 1.0)) < 1e-6
 
@@ -407,8 +394,7 @@ def test_liouville_identity_counterexample_system(spec_ex1):
     M = Msched.at(0.0)
     assert abs(np.trace(M) - 0.4) < 1e-12
     grid = uniform_grid(1.0, 500)
-    fs = fundamental_solution(M, 0.0, grid)
-    dets = np.linalg.det(fs.samples)
+    dets = np.linalg.det(_phi(M, grid))
     assert np.max(np.abs(dets / np.exp(0.4 * grid) - 1.0)) < 1e-6
 
 

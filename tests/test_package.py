@@ -53,3 +53,18 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, env=env)
     assert done.stdout.strip() == "[]"
+
+
+def test_block_layout_lives_in_one_builder():
+    # the 2n x 2n Hamiltonian layout is assembled only by coeffs.hamiltonian
+    found = []
+    for path in sorted(Path(lqmfg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): f"{path.stem}.{top.name}"
+                  for top in tree.body if isinstance(top, ast.FunctionDef)
+                  for node in ast.walk(top)}
+        found += [owners.get(id(node), path.stem) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "block"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "np"]
+    assert found == ["coeffs.hamiltonian"]

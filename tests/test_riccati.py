@@ -93,6 +93,39 @@ def test_radon_scalar_tanh():
     assert abs(radon.gamma[0, 0, 0] - np.tanh(1.0)) < 1e-6
 
 
+@pytest.mark.parametrize("i", range(12))
+def test_radon_long_horizon_classical(i):
+    # T = 20, 2000 steps: on specs 2, 3 and 11 the inverted block is
+    # singular to working precision at t = 0 (condition 1e14 to 4e17);
+    # elsewhere Radon is the classical Xi to within 1e-9 relative
+    spec = replace(classical_spec(np.random.default_rng(100 + i), i % 4 + 1),
+                   T=20.0)
+    grid = uniform_grid(20.0, 2000)
+    if i in (2, 3, 11):
+        with pytest.raises(BoundaryOperatorSingular) as exc:
+            solve_nonsymmetric_radon(spec, grid)
+        assert exc.value.t == 0.0
+        return
+    gamma = solve_nonsymmetric_radon(spec, grid).gamma
+    xi = solve_symmetric(spec, grid).gamma
+    scale = max(float(np.max(np.abs(xi))), 1.0)
+    assert np.max(np.abs(gamma - xi)) <= 1e-8 * scale
+
+
+def test_radon_overflow_is_not_a_singular_operator(spec_benchmark):
+    # A = 400 on [0, 2]: Phi(T, t) leaves the floats below t = 0.227, so
+    # Radon reports an integration overflow (not a singular boundary
+    # operator, whose exit code would read as non-existence)
+    spec = replace(spec_benchmark, A=Schedule.constant([[400.0]]), T=2.0)
+    with np.errstate(all="ignore"), pytest.raises(IntegrationOverflow) as exc:
+        solve_nonsymmetric_radon(spec, uniform_grid(2.0, 2000))
+    assert exc.value.index == 226
+    assert exc.value.direction == "backward"
+    path = exc.value.path
+    assert np.all(np.isnan(path[:226])) and not np.isfinite(path[226]).all()
+    assert np.all(np.isfinite(path[227:]))
+
+
 def test_direct_blow_up_flagged():
     # Q + Seff = -4 gives dGamma/dt = Gamma^2 + 4 backward: finite-time
     # escape at T - t = pi/4
