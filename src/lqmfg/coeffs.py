@@ -346,15 +346,12 @@ def sample(schedule: Schedule, grid: np.ndarray) -> np.ndarray:
     return schedule._pieces[np.maximum(idx, 0)]
 
 
-def _cell(v) -> str:
-    return v if isinstance(v, str) else repr(float(v))
-
-
 def csv_text(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row.  Strings are
-    written as given, numbers as repr(float(x)) so that values round-trip."""
+    """CSV text: the header line, then one line per row.  Each cell is a
+    string, written as given, or a Python float, written as its repr (which
+    is its str) so that values round-trip."""
     lines = [header]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 

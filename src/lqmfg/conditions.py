@@ -517,5 +517,6 @@ def report_csv(reports: dict[str, tuple[float | None, float]]) -> str:
     """CSV rows (condition, lhs, threshold, verdict) from a mapping
     name -> (lhs, threshold, verdict)."""
     return csv_text("condition,lhs,threshold,verdict",
-                    ((name, "nan" if lhs is None else lhs, threshold, verdict)
+                    ((name, "nan" if lhs is None else float(lhs),
+                      float(threshold), verdict)
                      for name, (lhs, threshold, verdict) in reports.items()))

@@ -10,7 +10,7 @@ Three routes to the matrix paths:
   (Radon's lemma), composed from the equilibrium system's forward RK4
   step maps, or by its own backward RK4 loop on the equation itself,
   with blow-up detection: two matmuls per field evaluation, and Python
-  floats when n = 1,
+  floats when n = 1 or, unrolled by hand, n = 2,
 * explicit closed forms in the scalar constant-coefficient case.
 
 Gamma carries A+Abar on one side and A* on the other, so it need not be
@@ -124,10 +124,12 @@ def solve_nonsymmetric_direct(spec: ProblemSpec,
 def _rk4_tau(Y, Hl, Hr, hs) -> list:
     """RK4 steps hs of the tau-field Y' = Y (A+Abar) + A* Y - Y BRB Y + QS
     from Y, written as Y U[:n] - U[n:] with U = Hl + Hr Y, Hl = (A+Abar;
-    -QS) and Hr = (-BRB; -A*); on Python floats when n = 1.  Returns the
-    samples from Y on, stopping at the first one beyond BLOW_UP_LIMIT or
-    not finite."""
+    -QS) and Hr = (-BRB; -A*); on Python floats when n = 1 and, by
+    `_rk4_tau_2`, when n = 2.  Returns the samples from Y on, stopping at
+    the first one beyond BLOW_UP_LIMIT or not finite."""
     n = len(Y)
+    if n == 2:
+        return _rk4_tau_2(Y, Hl, Hr, hs)
     if n == 1:
         (l1,), (l2,) = Hl.tolist()
         (r1,), (r2,) = Hr.tolist()
@@ -151,6 +153,43 @@ def _rk4_tau(Y, Hl, Hr, hs) -> list:
         Y = Y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         out.append(Y)
         if not size(Y) <= BLOW_UP_LIMIT:
+            break
+    return out
+
+
+def _rk4_tau_2(Y, Hl, Hr, hs) -> list:
+    """`_rk4_tau` for n = 2, on the entries (a, b; c, d) of Y as Python
+    floats.  Each product is summed in numpy's order, U = Hl + (Hr Y) and
+    F = (Y U[:2]) - U[2:], so only the rounding inside a 2 x 2 product can
+    differ from the matmul loop.  Returns the samples as (a, b, c, d)."""
+    (l0, l1), (l2, l3), (l4, l5), (l6, l7) = Hl.tolist()
+    (r0, r1), (r2, r3), (r4, r5), (r6, r7) = Hr.tolist()
+
+    def field(a, b, c, d):
+        u0, u1 = l0 + (r0 * a + r1 * c), l1 + (r0 * b + r1 * d)
+        u2, u3 = l2 + (r2 * a + r3 * c), l3 + (r2 * b + r3 * d)
+        return ((a * u0 + b * u2) - (l4 + (r4 * a + r5 * c)),
+                (a * u1 + b * u3) - (l5 + (r4 * b + r5 * d)),
+                (c * u0 + d * u2) - (l6 + (r6 * a + r7 * c)),
+                (c * u1 + d * u3) - (l7 + (r6 * b + r7 * d)))
+
+    a, b, c, d = Y.ravel().tolist()
+    out = [(a, b, c, d)]
+    lim = BLOW_UP_LIMIT
+    for h in hs:
+        g = h / 2.0
+        a1, b1, c1, d1 = field(a, b, c, d)
+        a2, b2, c2, d2 = field(a + g * a1, b + g * b1, c + g * c1, d + g * d1)
+        a3, b3, c3, d3 = field(a + g * a2, b + g * b2, c + g * c2, d + g * d2)
+        a4, b4, c4, d4 = field(a + h * a3, b + h * b3, c + h * c3, d + h * d3)
+        w = h / 6.0
+        a = a + w * (a1 + 2.0 * (a2 + a3) + a4)
+        b = b + w * (b1 + 2.0 * (b2 + b3) + b4)
+        c = c + w * (c1 + 2.0 * (c2 + c3) + c4)
+        d = d + w * (d1 + 2.0 * (d2 + d3) + d4)
+        out.append((a, b, c, d))
+        if not (abs(a) <= lim and abs(b) <= lim and abs(c) <= lim
+                and abs(d) <= lim):
             break
     return out
 

@@ -546,11 +546,13 @@ def epsilon_nash_probe(spec: ProblemSpec, cfg: SimConfig, N: int,
 
 def rate_csv(report: RateReport) -> str:
     return csv_text("N,gap_mean,gap_stderr,cost_gap_mean,cost_gap_stderr",
-                    zip(map(str, report.N_values), report.gap_mean,
-                        report.gap_stderr, report.cost_gap_mean,
-                        report.cost_gap_stderr))
+                    zip(map(str, report.N_values), report.gap_mean.tolist(),
+                        report.gap_stderr.tolist(),
+                        report.cost_gap_mean.tolist(),
+                        report.cost_gap_stderr.tolist()))
 
 
 def probe_csv(report: ProbeReport) -> str:
     return csv_text("theta,cost_diff,stderr",
-                    zip(report.labels, report.cost_diff, report.stderr))
+                    zip(report.labels, report.cost_diff.tolist(),
+                        report.stderr.tolist()))

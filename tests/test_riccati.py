@@ -143,6 +143,31 @@ def test_direct_blow_up_flagged():
     assert ok.blow_up is None
 
 
+@pytest.mark.parametrize("wild", [1, 0])
+def test_direct_blow_up_in_one_entry_only(wild):
+    # diagonal 2-d spec: Gamma_wild solves the escaping scalar equation of
+    # test_direct_blow_up_flagged, the other diagonal entry tanh(T - t),
+    # so a blow-up check that misses an entry fails one of the two orders
+    tame = 1 - wild
+    c = Schedule.constant
+    I, Z = np.eye(2), np.zeros((2, 2))
+    Q, Qbar = np.zeros((2, 2)), np.zeros((2, 2))
+    Q[tame, tame], Qbar[wild, wild] = 1.0, -4.0
+    spec = ProblemSpec(n=2, m=2, T=1.0, A=c(Z), Abar=c(Z), B=c(I),
+                       sigma=c(Z), Q=c(Q), Qbar=c(Qbar), R=c(I), S=c(Z),
+                       QT=Z, QbarT=Z, ST=Z, x0_mean=np.ones(2), delta=1e-6)
+    grid = uniform_grid(1.0, 2000)
+    ric = solve_nonsymmetric_direct(spec, grid)
+    assert ric.blow_up == 428  # t = 0.214, T - t just beyond pi/4
+    k = ric.blow_up
+    assert np.all(np.isnan(ric.gamma[:k]))
+    assert not abs(ric.gamma[k, wild, wild]) <= BLOW_UP_LIMIT
+    assert np.max(np.abs(ric.gamma[k:, tame, tame]
+                         - np.tanh(1.0 - grid[k:]))) < 1e-14
+    assert np.all(ric.gamma[k:, 0, 1] == 0.0)
+    assert np.all(ric.gamma[k:, 1, 0] == 0.0)
+
+
 def _direct_oracle(spec, grid):
     """(Gamma, blow-up index) by field-call RK4 on the textbook field
     -G (A+Abar) - A* G + G BRB G - (Q + Seff), restarted at every

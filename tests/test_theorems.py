@@ -172,6 +172,40 @@ def orthogonal_change_keeps_the_norms(seed: int, breaks: int):
     assert _close(lhs, lhs_moved, 1e-10)
 
 
+def doubled(spec):
+    """The same game twice over, uncoupled: every matrix M of the spec
+    becomes diag(M, M) and x0 its tile."""
+    def diag2(M):
+        return np.kron(np.eye(2), M)
+
+    return replace(spec, n=2 * spec.n, m=2 * spec.m,
+                   **{name: sched.map(diag2)
+                      for name, sched in spec.schedules().items()},
+                   QT=diag2(spec.QT), QbarT=diag2(spec.QbarT),
+                   ST=diag2(spec.ST), x0_mean=np.tile(spec.x0_mean, 2))
+
+
+def block_doubling_commutes(seed: int, n: int, T: float, breaks: int):
+    """P8: the direct route commutes with block-diagonal doubling.  On a
+    classical spec of size n and a contraction spec, the doubled Gamma has
+    the original in both diagonal blocks (1e-13 relative), exact zeros off
+    them and the same blow-up index, so the float paths (n = 1, 2) and the
+    matmul loop (n = 4) agree on the same equation."""
+    rng = np.random.default_rng(seed)
+    for spec in (classical_spec(rng, n), contraction_spec(rng, T, breaks)):
+        grid = build_grid(spec, 200)
+        path, big = (solve_nonsymmetric_direct(s, grid)
+                     for s in (spec, doubled(spec)))
+        assert big.blow_up == path.blow_up
+        first = 0 if path.blow_up is None else path.blow_up + 1
+        gamma, big = path.gamma[first:], big.gamma[first:]
+        k = spec.n
+        assert _close(big[:, :k, :k], gamma, 1e-13)
+        assert _close(big[:, k:, k:], gamma, 1e-13)
+        assert np.all(big[:, :k, k:] == 0.0)
+        assert np.all(big[:, k:, :k] == 0.0)
+
+
 @settings(max_examples=12, deadline=None, database=None)
 @given(SEEDS, HORIZONS, BREAKS)
 def test_mainthm_satisfied_means_the_fixed_point_contracts(seed, T, breaks):
@@ -207,3 +241,10 @@ def test_a_change_of_coordinates_maps_every_route_covariantly(seed, breaks):
 @given(SEEDS, st.integers(1, 3))
 def test_an_orthogonal_change_keeps_L_and_the_mainthm_lhs(seed, breaks):
     orthogonal_change_keeps_the_norms(seed, breaks)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(SEEDS, st.integers(1, 2), HORIZONS, BREAKS)
+def test_the_direct_route_commutes_with_block_diagonal_doubling(seed, n, T,
+                                                                breaks):
+    block_doubling_commutes(seed, n, T, breaks)
