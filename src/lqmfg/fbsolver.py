@@ -22,8 +22,8 @@ import numpy as np
 
 from .coeffs import (ProblemSpec, Schedule, csv_text, hamiltonian, sample,
                      system_blocks, uniform_grid)
-from .odecore import (_doublings, _rk4_linear, _step_maps, _step_offsets,
-                      stage_source, step_pieces)
+from .odecore import (_replay, _rk4_linear, _run_powers, _run_steps,
+                      _step_maps, _step_offsets, stage_source, step_pieces)
 
 COND_LIMIT = 1e12  # boundary operators beyond this are reported singular
 BOUNDARY_RTOL = 1e-6  # shooting residual beyond this x (1 + |p(T)|) is lost
@@ -98,20 +98,19 @@ def equilibrium_system(spec: ProblemSpec) -> tuple[Schedule, np.ndarray]:
 
 class _TwoPoint:
     """d/dt (x; p) = M(t)(x; p) + s(t) on one grid, x(0) = x0 and p(T) =
-    GT x(T) + cT, by superposition shooting.  Built once: the levels of
-    the doubling (`odecore._doublings`) of M's RK4 step maps, the columns
-    (x0; 0) and (0; I), and the boundary operator N = (GT, -I) (0; I) at T,
+    GT x(T) + cT, by superposition shooting.  Built once: the run powers
+    (`odecore._run_powers`) of M's RK4 step maps, the columns (0; I)
+    carried by them, and the boundary operator N = (GT, -I) (0; I) at T,
     whose condition number `cond` must be finite and at most COND_LIMIT
-    (else SingularShootingMatrix).  A `solve` pays only for its source."""
+    (else SingularShootingMatrix).  A `solve` pays only for its source and
+    for carrying (x0; 0)."""
 
     def __init__(self, M: Schedule, x0, GT, grid):
         self.n = n = GT.shape[0]
-        self.Mk = sample(M, step_pieces(M, grid)[0])
-        self.hk = np.diff(grid)[:, None, None]
-        P = _step_maps(M, grid)[0]
-        self.levels = [(s, P[s:].copy()) for s in _doublings(P)]
-        Y = np.concatenate([np.eye(2 * n)[None], P])
-        self.base, self.cols = Y[:, :, :n] @ np.asarray(x0, float), Y[:, :, n:]
+        self.Mk, self.hk = _run_steps(M, grid)[:2]
+        self.runs = _run_powers(_step_maps(M, grid)[0])
+        self.y0 = np.concatenate([np.asarray(x0, float), np.zeros(n)])[:, None]
+        self.cols = _replay(self.runs, np.eye(2 * n)[:, n:])
         self.C = np.hstack([GT, -np.eye(n)])
         self.N = self.C @ self.cols[-1]
         self.cond = (float(np.linalg.cond(self.N))
@@ -123,12 +122,9 @@ class _TwoPoint:
         """The paths x and p under the stage sources (K, 3, 2n) and cT;
         raises SingularShootingMatrix when they miss the terminal
         condition by more than BOUNDARY_RTOL (1 + |p(T)|)."""
-        w = self.base.copy()
-        if source is not None:
-            g = _step_offsets(self.Mk, self.hk, source[..., None])[..., 0]
-            for s, P in self.levels:
-                g[s:] += np.einsum("kij,kj->ki", P, g[:-s])
-            w[1:] += g
+        f = (None if source is None else
+             _step_offsets(self.Mk, self.hk, source[..., None]))
+        w = _replay(self.runs, self.y0, f)[..., 0]
         w += self.cols @ np.linalg.solve(self.N, -(self.C @ w[-1]) - cT)
         miss = float(np.linalg.norm(self.C @ w[-1] + cT))
         if not miss <= BOUNDARY_RTOL * (1.0 + np.linalg.norm(w[-1, self.n:])):

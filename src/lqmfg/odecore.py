@@ -3,18 +3,22 @@
 The classical fixed-step RK4 scheme as exact per-step maps:
 `_step_maps` builds y_{k+1} = E_k y_k + f_k for a linear system
 y' = M(t) y + s(t) with a piecewise-constant `Schedule` M in batched
-numpy.  Every linear object of the package comes from them: shooting,
+numpy, one map E per run of steps on one piece (one step size per run).
+Every linear object of the package comes from them: shooting,
 the det Phi22 scans (Phi_t from 0), Radon's rows C Phi(T, t)
 (`_boundary_rows`, from the reversed transposes of the same forward
 maps), |||phi|||, and through `_sweep`
 the symmetric Riccati pair and both appendix routes.  No Python loop
-runs over the steps: `_compose_prefix` composes the maps by recursive
-doubling, which `_propagate` applies to a start value and `_sweep`
-applies within blocks of about sqrt(K) steps.  `fbsolver`'s two-point
-solver keeps the levels of `_doublings`: a new source costs its
-`_step_offsets`.  Only the direct nonsymmetric Gamma route, a
-deliberately independent cross-check, steps its own nonlinear RK4 loop
-(in `riccati`).
+runs over the steps: `_run_powers` takes the powers E^1 ... E^L of each
+run of equal maps by doubling, and `_replay` carries a start value
+across the runs by them, composing the offsets of a run by one matrix
+product per doubling level; `_propagate` applies both.  `_sweep`, whose
+forward pass composes maps that differ at every step, uses the
+recursive doubling of `_compose_prefix` within blocks of about sqrt(K)
+steps.  `fbsolver`'s two-point solver keeps the run powers: a new
+source costs its `_step_offsets` and one `_replay`.  Only the direct
+nonsymmetric Gamma route, a deliberately independent cross-check, steps
+its own nonlinear RK4 loop (in `riccati`).
 
 Only `step_pieces` decides which piece of the coefficients a step reads.
 Also here: z-driven sources, principal PSD square roots, and spectral
@@ -56,38 +60,36 @@ def _step_maps(M: Schedule, grid, source=None,
                backward: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-step maps of the RK4 scheme for y' = M(t) y + s(t) on a uniform grid.
 
-    Step k reads the one piece M_k of M in force at its midpoint and is
-    a classical RK4 step of field(t, y) = M_k y + s(t), rearranged (equal
-    up to rounding) as y_{k+1} = E_k y_k + f_k with
+    Each run of `_run_steps` reads one piece M_r of M with one step size
+    h, so one classical RK4 step of field(t, y) = M_r y + s(t),
+    rearranged (equal up to rounding) as y_{k+1} = E_r y_k + f_k with
 
-        E_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M_k,
-        K2 = M_k (I + h/2 K1),  K3 = M_k (I + h/2 K2),  K4 = M_k (I + h K3),
+        E_r = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M_r,
+        K2 = M_r (I + h/2 K1),  K3 = M_r (I + h/2 K2),  K4 = M_r (I + h K3),
 
-    and f_k the same algebra on the step's sources, given as s at
-    (t_k, t_k + h/2, t_{k+1}), shape (K, 3, d[, c]).  A step with a
-    breakpoint strictly inside has E_k the product of its sub-step maps
-    (f_k keeps the midpoint piece: a sourced solve is first order there).
-    With backward=True the maps step the negated field forward in
-    tau = T - t: E_j, f_j take y(t_{K-j}) to y(t_{K-j-1}).  Returns E
-    (K, d, d) and f (K, d, c), or None.
+    formed once, serves every step of the run, and f_k is the same algebra
+    on the step's sources, given as s at (t_k, t_k + h/2, t_{k+1}), shape
+    (K, 3, d[, c]).  A step with a breakpoint strictly inside has E_k the
+    product of its sub-step maps (f_k keeps the midpoint piece: a sourced
+    solve is first order there).  With backward=True the maps step the
+    negated field forward in tau = T - t: E_j, f_j take y(t_{K-j}) to
+    y(t_{K-j-1}).  Returns E (K, d, d) and f (K, d, c), or None.
     """
     grid = np.asarray(grid, dtype=float)
-    T = grid[-1]
-    taus = T - grid[::-1] if backward else grid
-    check_uniform_grid(taus)
-    K = taus.size - 1
-    d = M.shape[0]
-    Mk = sample(M, step_pieces(M, grid)[0])
+    check_uniform_grid(grid[-1] - grid[::-1] if backward else grid)
+    K = grid.size - 1
+    Mk, hk, cuts = _run_steps(M, grid)
     if backward:
-        Mk = -Mk[::-1]
-    hk = (taus[1:] - taus[:-1])[:, None, None]
-    hh = hk / 2.0
-    eye = np.eye(d)
-    K2 = Mk @ (eye + hh * Mk)
-    K3 = Mk @ (eye + hh * K2)
-    K4 = Mk @ (eye + hk * K3)
-    E = eye + (hk / 6.0) * (Mk + 2.0 * K2 + 2.0 * K3 + K4)
-    tol = 1e-9 * max(abs(T), 1.0)  # the breakpoint slack of build_grid
+        Mk, hk = -Mk[::-1], hk[::-1]
+        cuts = K - cuts[::-1]
+    Mr, h = Mk[cuts[:-1]], hk[cuts[:-1]]
+    eye = np.eye(M.shape[0])
+    K2 = Mr @ (eye + h / 2.0 * Mr)
+    K3 = Mr @ (eye + h / 2.0 * K2)
+    K4 = Mr @ (eye + h * K3)
+    E = np.repeat(eye + (h / 6.0) * (Mr + 2.0 * K2 + 2.0 * K3 + K4),
+                  np.diff(cuts), axis=0)
+    tol = 1e-9 * max(abs(grid[-1]), 1.0)  # the breakpoint slack of build_grid
     for b in M.breakpoints:
         k = int(np.searchsorted(grid, b)) - 1
         if 0 <= k < K and grid[k] + tol < b < grid[k + 1] - tol:
@@ -96,10 +98,19 @@ def _step_maps(M: Schedule, grid, source=None,
             E[K - 1 - k if backward else k] = lo @ hi if backward else hi @ lo
     if source is None:
         return E, None
-    s = np.asarray(source, dtype=float).reshape(K, 3, d, -1)
+    s = np.asarray(source, dtype=float).reshape(K, 3, M.shape[0], -1)
     if backward:
         s = -s[::-1, ::-1]
     return E, _step_offsets(Mk, hk, s)
+
+
+def _run_steps(M: Schedule, grid) -> tuple:
+    """The piece Mk (K, d, d) each step of a uniform grid reads, its step
+    size hk (K, 1, 1), one h = (t_hi - t_lo) / steps per run of steps
+    between the cuts of `step_pieces`, and those cuts."""
+    mid, cuts = step_pieces(M, grid)
+    h = np.repeat(np.diff(grid[cuts]) / np.diff(cuts), np.diff(cuts))
+    return sample(M, mid), h[:, None, None], cuts
 
 
 def _step_offsets(Mk, hk, s) -> np.ndarray:
@@ -126,25 +137,28 @@ def stage_source(Dk: np.ndarray, z, cuts) -> np.ndarray:
     ends and `_midpoints` at the midpoint, per run between the `cuts` of
     `step_pieces` of M, the system z solves, so no cubic spans a kink."""
     zs = np.empty((len(Dk), 3) + np.shape(z)[1:])
-    zs[:, 0], zs[:, 2] = z[:-1], z[1:]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        zs[lo:hi, 1] = _midpoints(z[lo:hi + 1])
+    zs[:, 0], zs[:, 1], zs[:, 2] = z[:-1], _midpoints(z, cuts), z[1:]
     return np.einsum("kij,ksj->ksi", Dk, zs)
 
 
-def _midpoints(y: np.ndarray) -> np.ndarray:
-    """y at the step midpoints of its K + 1 uniform samples (axis 0): on
-    each step the cubic through the four nearest samples, and for K < 4 the
+def _midpoints(y: np.ndarray, cuts=None) -> np.ndarray:
+    """y at the step midpoints of its K + 1 uniform samples (axis 0), per
+    run between `cuts` (default one run): on each step the cubic through
+    the four nearest samples of its run, and on a run of K < 4 steps the
     line, parabola or cubic through all of them.  That is the mean of the
     step's ends less (d2_k + d2_{k+1}) / 16, with the second differences
-    d2 extrapolated linearly to the two ends."""
-    mean = (y[:-1] + y[1:]) / 2.0
-    if len(y) < 3:
-        return mean
-    d2 = y[:-2] - 2.0 * y[1:-1] + y[2:]
-    d2 = np.pad(d2, [(1, 1)] + [(0, 0)] * (y.ndim - 1), mode="reflect",
-                reflect_type="odd")
-    return mean - (d2[:-1] + d2[1:]) / 16.0
+    d2 of each run extrapolated linearly to its two ends."""
+    cuts = (0, len(y) - 1) if cuts is None else cuts
+    d2 = np.zeros_like(y)
+    d2[1:-1] = y[:-2] - 2.0 * y[1:-1] + y[2:]
+    left, right = d2[:-1].copy(), d2[1:].copy()  # d2 at each step's ends
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo == 1:
+            left[lo] = right[lo] = 0.0
+        else:
+            left[lo] = 2.0 * d2[lo + 1] - d2[min(lo + 2, hi - 1)]
+            right[hi - 1] = 2.0 * d2[hi - 1] - d2[max(hi - 2, lo + 1)]
+    return (y[:-1] + y[1:]) / 2.0 - (left + right) / 16.0
 
 
 def _compose_prefix(E: np.ndarray, f: np.ndarray | None = None):
@@ -156,20 +170,54 @@ def _compose_prefix(E: np.ndarray, f: np.ndarray | None = None):
     Returns P, shaped like E, and g, shaped like f (None without f)."""
     P = np.array(E, dtype=float)
     g = None if f is None else np.array(f, dtype=float)
-    for s in _doublings(P):
+    s = 1
+    while s < P.shape[-3]:
         if g is not None:
             g[..., s:, :, :] += P[..., s:, :, :] @ g[..., :-s, :, :]
+        P[..., s:, :, :] = P[..., s:, :, :] @ P[..., :-s, :, :]
+        s *= 2
     return P, g
 
 
-def _doublings(P: np.ndarray):
-    """The passes of `_compose_prefix` on P, in place: each yields its
-    shift s before composing every entry with the one s steps earlier."""
-    s = 1
-    while s < P.shape[-3]:
-        yield s
-        P[..., s:, :, :] = P[..., s:, :, :] @ P[..., :-s, :, :]
-        s *= 2
+def _run_powers(E: np.ndarray) -> list:
+    """The runs of equal consecutive maps of E (K, d, d), as triples (lo,
+    hi, P) with P (hi - lo, d, d) the powers E_lo^1 ... E_lo^(hi - lo),
+    by doubling on the powers: P_{s+j} = P_{s-1} P_j for j < s, the same
+    products, in the same order, as `_compose_prefix` on the run."""
+    new = np.flatnonzero((E[1:] != E[:-1]).any(axis=(1, 2))) + 1
+    cuts = [0, *new.tolist(), len(E)]
+    runs = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        P = np.empty((hi - lo,) + E.shape[1:])
+        P[0] = E[lo]
+        s = 1
+        while s < hi - lo:
+            P[s:2 * s] = P[s - 1] @ P[:min(s, hi - lo - s)]
+            s *= 2
+        runs.append((lo, hi, P))
+    return runs
+
+
+def _replay(runs: list, y0: np.ndarray, f: np.ndarray | None = None):
+    """The values y_0 = y0 (d, c), y_{k+1} = E_k y_k + f_k, shape
+    (K+1, d, c), from the `_run_powers` of E.  On each run the powers
+    carry its start value, P_j y_lo, and the offsets f (K, d, c) of its
+    steps are composed by recursive doubling on their rows, one product
+    g[s:] += g[:-s] (E^s)* per level."""
+    y = np.empty((runs[-1][1] + 1,) + np.shape(y0))
+    y[0] = y0
+    for lo, hi, P in runs:
+        L, d = P.shape[:2]
+        y[lo + 1:hi + 1] = (P.reshape(L * d, d) @ y[lo]).reshape(L, d, -1)
+        if f is not None:
+            g = np.swapaxes(f[lo:hi], 1, 2).copy()
+            s = 1
+            while s < L:
+                g[s:] += (g[:-s].reshape(-1, d) @ P[s - 1].T).reshape(
+                    L - s, -1, d)
+                s *= 2
+            y[lo + 1:hi + 1] += np.swapaxes(g, 1, 2)
+    return y
 
 
 def _rk4_linear(M: Schedule, y0, grid, source=None) -> np.ndarray:
@@ -180,13 +228,11 @@ def _rk4_linear(M: Schedule, y0, grid, source=None) -> np.ndarray:
 
 def _propagate(E: np.ndarray, f: np.ndarray | None, y0) -> np.ndarray:
     """The values y_0 = y0, y_{k+1} = E_k y_k + f_k, shape (K+1,) +
-    y0.shape, each from the composed maps of `_compose_prefix`.  Raises
+    y0.shape, by `_replay` of the `_run_powers` of E.  Raises
     IntegrationOverflow at the first non-finite value."""
     y0 = np.asarray(y0, dtype=float)
     K = E.shape[0]
-    Y0 = y0.reshape(y0.shape[0], -1)
-    P, g = _compose_prefix(E, f)
-    out = np.concatenate([Y0[None], P @ Y0 if g is None else P @ Y0 + g])
+    out = _replay(_run_powers(E), y0.reshape(y0.shape[0], -1), f)
 
     path = out.reshape((K + 1,) + y0.shape)
     bad = ~np.isfinite(out[1:].reshape(K, -1)).all(axis=1)

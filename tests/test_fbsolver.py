@@ -333,11 +333,12 @@ def test_shooting_raises_when_it_misses_the_terminal_condition():
 
 def test_fixed_point_builds_its_step_maps_once(monkeypatch, spec_benchmark):
     # every iterate solves the same two-point problem, so the step maps
-    # and their doubling are formed once, whatever the iteration count
+    # and the powers of their runs are formed once, whatever the iteration
+    # count
     from lqmfg import fbsolver, odecore
 
     counts = {}
-    for name in ("_step_maps", "_doublings"):
+    for name in ("_step_maps", "_run_powers"):
         def counting(*args, _name=name, _inner=getattr(odecore, name)):
             counts[_name] = counts.get(_name, 0) + 1
             return _inner(*args)
@@ -350,8 +351,29 @@ def test_fixed_point_builds_its_step_maps_once(monkeypatch, spec_benchmark):
         counts.clear()
         iterations.append(fixed_point_iterate(spec_benchmark, grid,
                                               tol=tol).iterations)
-        assert counts == {"_step_maps": 1, "_doublings": 1}
+        assert counts == {"_step_maps": 1, "_run_powers": 1}
     assert 5 <= iterations[0] < iterations[1]
+
+
+def test_two_point_holds_linear_memory_in_the_steps():
+    # the run powers, the carried columns and the step pieces: O(K d^2)
+    # floats, not a copy of every doubling level (K log2 K matrices)
+    K, n = 2000, 2
+    rng = np.random.default_rng(4)
+    grid = uniform_grid(1.0, K)
+    M = Schedule.piecewise([(t, 0.5 * rng.normal(size=(2 * n, 2 * n)))
+                            for t in (0.0, 0.25, 0.6)])
+    solver = _TwoPoint(M, np.ones(n), np.eye(n), grid)
+
+    def held(value):
+        if isinstance(value, np.ndarray):
+            return value.nbytes
+        if isinstance(value, (list, tuple)):
+            return sum(map(held, value))
+        return 0
+
+    floats = sum(map(held, vars(solver).values())) / 8
+    assert floats <= 4 * (K + 1) * (2 * n) ** 2
 
 
 @st.composite

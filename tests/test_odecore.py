@@ -8,11 +8,12 @@ from scipy.linalg import expm
 from conftest import (rk4_by_piece, rk4_integrate, rk4_integrate_backward,
                       stage_reader)
 from lqmfg.coeffs import Schedule, uniform_grid
-from lqmfg.fbsolver import equilibrium_system, solve_equilibrium_shooting
+from lqmfg.fbsolver import (SingularShootingMatrix, _TwoPoint,
+                            equilibrium_system, solve_equilibrium_shooting)
 from lqmfg.odecore import (IntegrationOverflow, _boundary_rows,
-                           _compose_prefix, _midpoints, _rk4_linear,
-                           _step_maps, _sweep, inv_sqrt, psd_sqrt,
-                           spectral_norm, spectral_norms)
+                           _compose_prefix, _midpoints, _propagate,
+                           _rk4_linear, _run_powers, _step_maps, _sweep,
+                           inv_sqrt, psd_sqrt, spectral_norm, spectral_norms)
 from lqmfg.riccati import solve_nonsymmetric_radon
 
 
@@ -269,6 +270,65 @@ def test_compose_prefix_matches_sequential_composition(K, batch,
     else:
         assert g.shape == f.shape
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+
+@st.composite
+def runs_of_maps(draw):
+    """A piecewise M (2n x 2n, n in 1..2) whose pieces hold runs of 1-40
+    steps of a uniform grid, stage sources or none, a start value, a
+    terminal weight and offset."""
+    n = draw(st.sampled_from([1, 2]))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    grid = uniform_grid(draw(st.sampled_from([0.3, 1.0, 1.7])), sum(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = Schedule.piecewise([(float(grid[k]), rng.normal(size=(2 * n, 2 * n)))
+                            for k in np.cumsum([0, *lengths[:-1]])])
+    source = (rng.normal(size=(grid.size - 1, 3, 2 * n))
+              if draw(st.booleans()) else None)
+    return (M, grid, lengths, source, rng.normal(size=2 * n),
+            rng.normal(size=(n, n)), rng.normal(size=n))
+
+
+def _steps(E, f, y0):
+    """y_0 = y0, y_{k+1} = E_k y_k + f_k, one step at a time."""
+    path = [y0]
+    for k, Ek in enumerate(E):
+        path.append(Ek @ path[-1] + (0.0 if f is None else f[k, :, 0]))
+    return np.array(path)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(runs_of_maps(), st.booleans())
+def test_run_powers_and_replay_match_sequential_steps(problem, backward):
+    # one map per run, its powers carrying the run's start value and the
+    # offsets replayed per doubling level, against one step at a time
+    M, grid, lengths, source, y0, GT, cT = problem
+    E, f = _step_maps(M, grid, source, backward)
+    runs = _run_powers(E)
+    assert [hi - lo for lo, hi, _ in runs] == lengths[::-1 if backward else 1]
+    _assert_close(_propagate(E, f, y0), _steps(E, f, y0))
+    if backward:
+        return
+    n = GT.shape[0]
+    try:
+        x, p = _TwoPoint(M, y0[:n], GT, grid).solve(source, cT)
+    except SingularShootingMatrix:
+        return
+    path = _steps(E, f, np.concatenate([y0[:n], p[0]]))
+    _assert_close(np.hstack([x, p]), path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("K", [1, 2, 3, 31, 32, 33, 800, 2001])
+def test_one_run_composes_bit_identically_to_compose_prefix(d, K):
+    rng = np.random.default_rng(d * K)
+    M = Schedule.constant(rng.normal(size=(d, d)))
+    E = _step_maps(M, uniform_grid(1.0, K))[0]
+    P = _compose_prefix(E)[0]
+    (lo, hi, powers), = _run_powers(E)
+    assert (lo, hi) == (0, K)
+    assert np.array_equal(powers, P)
+    assert np.array_equal(_propagate(E, None, np.eye(d))[1:], P)
 
 
 def _sweep_per_step(M, GT, grid, source=None, cT=None, x0=None):
